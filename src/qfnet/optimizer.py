@@ -2,11 +2,18 @@
 
 Per run the search minimizes sum_k alpha_k**2 * log2(n) subject to the
 worst-case decision error over the observed detectors staying below epsilon,
-with thresholds delegated to stats.best_threshold.  The error is monotone
-decreasing along any amplitude ray (more photons separate the hypotheses
-better), so a geometric ladder plus log-bisection finds the minimal feasible
-scale; asymmetric channels then get a per-coordinate descent that walks each
-amplitude down while feasibility holds.  Deterministic throughout — no
+with thresholds delegated to stats.best_threshold.  A geometric ladder finds
+the first feasible scale along an amplitude ray and a log-bisection narrows
+the bracket below it; asymmetric channels then get a per-coordinate descent
+that walks each amplitude down while feasibility holds.
+
+The error trends down along a ray (more photons separate the hypotheses
+better) but is not monotone: the integer threshold lattice makes it step up
+locally (7-9 upward steps on a 60-point scale sweep of a two-party
+instance), so the bisection can stop above a smaller feasible scale.  What
+holds is feasibility: the final evaluate_fixed audit re-derives the error of
+the returned rows, and feasible=True means that audit met epsilon.
+Minimality of the returned scale is unproven.  Deterministic throughout — no
 randomness, fixed iteration orders.
 """
 

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfnet
 from qfnet.cli import ConfigError, build_channel, build_problem, load_config, main
 
 DESK_DOC = {
@@ -32,6 +37,18 @@ def read_csv(text):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     rows = list(csv.reader(lines))
     return rows[0], rows[1:]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second of start-up; the count tails need only
+    # scipy.special.  A fresh interpreter shows what the import pulls in.
+    src = str(Path(qfnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qfnet.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- config loading ----------------------------------------------------------

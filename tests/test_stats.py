@@ -2,7 +2,10 @@
 
 The binomial oracle sums probability mass with Fraction arithmetic (no
 floating point at all); the Poisson oracle sums the series with fsum.  The
-library routes through scipy and must agree to near machine precision.
+library evaluates the tails with scipy.special's betainc/betaincc
+(binomial), pdtrc/pdtr (Poisson) and ndtr (Gaussian) and must agree to near
+machine precision.  A parity check pins those ufuncs to the scipy.stats
+distributions they replace.
 """
 
 import math
@@ -11,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from qfnet.core import DomainError
 from qfnet.probmodel import ClickProfile
@@ -69,6 +73,22 @@ def test_binomial_tails_match_fraction_oracle():
         assert tail_below(model, t) == pytest.approx(
             binom_below_exact(n, t, p), rel=1e-12, abs=1e-300
         )
+    # Dyadic p (exact in binary) where betaincc and scipy.stats' binom.cdf
+    # disagree: binom.cdf errs by 2.3e-14 to 4.1e-14 relative here, while
+    # betaincc matches the oracle to the last bit.
+    for n, p, t in [
+        (475, Fraction(9, 16), 200),
+        (466, Fraction(5, 8), 200),
+        (894, Fraction(3, 8), 249),
+        (621, Fraction(3, 4), 396),
+    ]:
+        model = CountModel(n, float(p), LAW_BINOMIAL)
+        assert tail_below(model, t) == pytest.approx(
+            binom_below_exact(n, t, p), rel=1e-15, abs=1e-300
+        )
+        assert tail_above(model, t) == pytest.approx(
+            binom_above_exact(n, t, p), rel=1e-15, abs=1e-300
+        )
 
 
 def test_binomial_below_is_strict():
@@ -123,6 +143,74 @@ def test_gaussian_cross_check_is_close():
     mean, sd = 3000, math.sqrt(10**4 * 0.3 * 0.7)
     for t in (int(mean - 2 * sd), int(mean + 2 * sd)):
         assert tail_above(model_g, t) == pytest.approx(tail_above(model_b, t), rel=0.05)
+
+
+def test_tail_numeric_edges():
+    # p = 1: every pulse clicks, so C = pulses surely
+    sure = CountModel(10, 1.0, LAW_BINOMIAL)
+    assert tail_above(sure, 10) == 0.0
+    assert tail_above(sure, 9) == 1.0
+    assert tail_below(sure, 10) == 0.0
+    # p = 0: C = 0 surely
+    silent = CountModel(10, 0.0, LAW_BINOMIAL)
+    assert [tail_above(silent, t) for t in (0, 5, 10)] == [0.0, 0.0, 0.0]
+    assert [tail_below(silent, t) for t in (0, 1, 10)] == [0.0, 1.0, 1.0]
+    # Poisson mean 0
+    dark = CountModel(10**9, 0.0, LAW_POISSON)
+    assert [tail_above(dark, t) for t in (0, 7)] == [0.0, 0.0]
+    assert [tail_below(dark, t) for t in (0, 1, 7)] == [0.0, 1.0, 1.0]
+    # Gaussian sd = 0 (p at either end) degenerates to a point mass
+    for p, mass_at in ((0.0, 0), (1.0, 50)):
+        point = CountModel(50, p, LAW_GAUSSIAN)
+        for t in (0, 25, 50):
+            assert tail_above(point, t) == float(mass_at > t)
+            assert tail_below(point, t) == float(mass_at < t)
+    # both sides of the binomial-to-Poisson switch agree in the bulk
+    mean = 20.0
+    at_limit = CountModel.auto(BINOMIAL_PULSE_LIMIT, mean / BINOMIAL_PULSE_LIMIT)
+    past_limit = CountModel.auto(BINOMIAL_PULSE_LIMIT + 1, mean / (BINOMIAL_PULSE_LIMIT + 1))
+    assert (at_limit.law, past_limit.law) == (LAW_BINOMIAL, LAW_POISSON)
+    for t in (0, 10, 20, 30, BINOMIAL_PULSE_LIMIT):
+        assert tail_above(past_limit, t) == pytest.approx(tail_above(at_limit, t), rel=1e-3)
+        assert tail_below(past_limit, t) == pytest.approx(tail_below(at_limit, t), rel=1e-3)
+
+
+def _grid_points(pulses, mean, sd):
+    """Count points from both ends of the range and across the bulk."""
+    points = {0, 1, pulses - 1, pulses}
+    points.update(int(mean + k * sd) for k in (-8, -3, -1, 0, 1, 3, 8))
+    return sorted(t for t in points if 0 <= t <= pulses)
+
+
+def test_tails_match_scipy_stats():
+    # Binomial P(C > t), Poisson and Gaussian tails are the very ufuncs
+    # scipy.stats calls, so they agree bit for bit.  Binomial P(C < t) uses
+    # betaincc where binom.cdf uses a different Boost entry point; the two
+    # agree to 1e-10 relative (subnormal results carry no relative
+    # precision, hence the absolute floor).
+    for pulses in (1, 7, 250, 5_000, 100_000, BINOMIAL_PULSE_LIMIT):
+        for p in (0.0, 1e-6, 0.013, 0.3, 0.5, 0.97, 1.0):
+            model = CountModel(pulses, p, LAW_BINOMIAL)
+            gauss = CountModel(pulses, p, LAW_GAUSSIAN)
+            sd = math.sqrt(pulses * p * (1.0 - p))
+            for t in _grid_points(pulses, model.mean, sd):
+                assert tail_above(model, t) == sps.binom.sf(t, pulses, p)
+                if sd > 0.0:
+                    assert tail_above(gauss, t) == sps.norm.sf((t + 0.5 - gauss.mean) / sd)
+                if t > 0:
+                    assert tail_below(model, t) == pytest.approx(
+                        sps.binom.cdf(t - 1, pulses, p), rel=1e-10, abs=1e-300
+                    )
+                    if sd > 0.0:
+                        assert tail_below(gauss, t) == sps.norm.cdf(
+                            (t - 0.5 - gauss.mean) / sd
+                        )
+    for mean in (0.0, 1e-3, 5.0, 238.0, 1e4, 1e7, 1e12):
+        model = CountModel(10**13, mean / 10**13, LAW_POISSON)
+        for t in _grid_points(10**13, model.mean, math.sqrt(model.mean)):
+            assert tail_above(model, t) == sps.poisson.sf(t, model.mean)
+            if t > 0:
+                assert tail_below(model, t) == sps.poisson.cdf(t - 1, model.mean)
 
 
 def test_count_model_auto_switches_law():
