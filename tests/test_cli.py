@@ -1,8 +1,10 @@
 """Command-line surface: config validation, exit codes, file outputs."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +51,15 @@ def test_cli_import_leaves_out_scipy_stats():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module", ["qfnet"] + [f"qfnet.{m.name}" for m in pkgutil.iter_modules(qfnet.__path__)]
+)
+def test_module_all_names_exist(module):
+    # a stale __all__ entry breaks `from module import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 # --- config loading ----------------------------------------------------------

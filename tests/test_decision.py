@@ -1,5 +1,7 @@
 """Outcome-bit referee: signature tables, adaptive resolution, run budgets."""
 
+import itertools
+
 import pytest
 
 from qfnet.core import DomainError, Relationship, enumerate_relationships, run_pairing
@@ -125,6 +127,41 @@ def test_resolve_rejects_inconsistent_outcomes():
         resolve_f_r(["000", "000"])
     with pytest.raises(InconsistentOutcome):
         resolve_f_r(["011", "011", "011"])
+
+
+def test_resolve_is_exhaustively_the_published_table():
+    # Every sequence of one to four outcome triples: exactly the 18 published
+    # signatures resolve, exactly their proper prefixes ask for the next run,
+    # and everything else is inconsistent.
+    published = {sig: f_r for f_r, sig in TABLE.values()}
+    published.update(
+        {
+            ("101", "111"): 0,
+            ("111", "101"): 0,
+            ("111", "111", "101"): 0,
+        }
+    )
+    assert len(published) == 18
+    prefixes = {sig[:k] for sig in published for k in range(1, len(sig))}
+    triples = ["".join(bits) for bits in itertools.product("01", repeat=3)]
+    resolved = waiting = 0
+    for length in (1, 2, 3, 4):
+        for seq in itertools.product(triples, repeat=length):
+            if seq in published:
+                outcome = resolve_f_r(seq)
+                assert isinstance(outcome, DecisionOutcome), seq
+                assert outcome.f_r == published[seq], seq
+                assert outcome.runs_used == length, seq
+                resolved += 1
+            elif seq in prefixes:
+                step = resolve_f_r(seq)
+                assert isinstance(step, NeedMoreRuns), seq
+                assert step.next_pairing == run_pairing(length + 1), seq
+                waiting += 1
+            else:
+                with pytest.raises(InconsistentOutcome):
+                    resolve_f_r(seq)
+    assert (resolved, waiting) == (18, len(prefixes))
 
 
 def test_resolve_validates_bit_strings():

@@ -1,5 +1,6 @@
 """Seeded trial campaigns: codeword synthesis, decisions, count statistics."""
 
+import hashlib
 import json
 import math
 
@@ -225,3 +226,46 @@ def test_simulate_two_party_two_bit():
     # half the pulses accumulate in the counts
     stats = equal.per_detector_count_stats[0]
     assert stats["analytic_mean"][1] == pytest.approx(5000 * 5e-5, rel=1e-9)
+
+
+# --- pinned output -----------------------------------------------------------
+
+# sha256 of TrialReport.to_json() for small campaigns, recorded before the
+# click kernel and decision table were rewritten, so that any refactor of
+# simulate's physics or referee shows up as a changed digest.  The digests
+# also depend on numpy's Philox bit stream and its binomial sampler: a numpy
+# release that changes either changes them without any change here.
+_LOSSY_CHANNEL = ChannelModel(eta=(1.0, 0.81, 0.64, 0.9), dark_count=5e-5, visibility=0.97)
+_PINNED_FOUR_PARTY = {
+    ("AABC", "desk"): "8a7a6c557519c57862521c320d055da95168680160a3931e6b6b8921e4af2c9c",
+    ("ABCD", "desk"): "a4f44e08a40ed9b76255b0b74f90f5648317f291461fd9923318a8ddb4870862",
+    ("AABC", "lossy"): "2eae339b5a794ae7bfade92c1b4d208a6081016e433080dac8e0c0ad67387a1b",
+    ("ABCD", "lossy"): "148c540e2c31dc576ac077134088a88291d3f1d3c628687e0d3f6a8d684a2021",
+}
+_PINNED_TWO_PARTY = {
+    ("AA", Encoding.SINGLE_BIT): "90d796011ac735c0019558ea4b26b06096a4c6ad8a7530e5a635ebc73bfce778",
+    ("AA", Encoding.TWO_BIT): "3ea03e34b118a3e54ad2d255b3fa574605fa9fb78c5e64de3ec3080f8506f317",
+    ("AB", Encoding.SINGLE_BIT): "18063047ba6c54c41a278c247f6abebae03bec07bcb72d9c160c044cd8fb356c",
+    ("AB", Encoding.TWO_BIT): "f53792f21e6dd54c2d1d6c40d6423a86c23726c872c264e0460787c4a630e96f",
+}
+
+
+def _digest(report: TrialReport) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label, channel", sorted(_PINNED_FOUR_PARTY))
+def test_simulate_four_party_output_is_pinned(desk_setup, label, channel):
+    pp, ch, runs = desk_setup
+    if channel == "lossy":  # nu < 1 and unequal eta, at the desk thresholds
+        ch = _LOSSY_CHANNEL
+    spec = TrialSpec(
+        rel=Relationship.from_label(label), pp=pp, ch=ch, runs=runs, trials=300, seed=DESK_SEED
+    )
+    assert _digest(simulate(spec)) == _PINNED_FOUR_PARTY[label, channel]
+
+
+@pytest.mark.parametrize("label, encoding", sorted(_PINNED_TWO_PARTY))
+def test_simulate_two_party_output_is_pinned(label, encoding):
+    report = simulate(two_party_spec(label, encoding))
+    assert _digest(report) == _PINNED_TWO_PARTY[label, encoding]
