@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import DomainError, RunConfig, enumerate_relationships
@@ -23,8 +22,6 @@ __all__ = [
     "classical_limit_ae",
     "count_cases",
     "count_cases_bruteforce",
-    "ComplexityReport",
-    "build_report",
 ]
 
 
@@ -118,26 +115,3 @@ def count_cases_bruteforce(N: int, i: int, j: int) -> int:
         for rel in enumerate_relationships(N)
         if rel.num_groups == j and rel.group_sizes[0] == i
     )
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Side-by-side quantum and classical costs for one instance.
-
-    ordering_satisfied records whether q_r < c_l_ae < c_o_ae held numerically.
-    """
-
-    q_ae: float
-    q_r: float
-    c_o_ae: float
-    c_l_ae: float
-    ordering_satisfied: bool
-
-
-def build_report(q_ae: float, q_r: float, n: int, N: int, p_e: float) -> ComplexityReport:
-    """Evaluate the classical bounds and the cost ordering for one instance."""
-    if q_ae < 0.0 or q_r < 0.0:
-        raise DomainError("qubit costs must be >= 0")
-    c_o = classical_optimal_ae(n, N, p_e)
-    c_l = classical_limit_ae(n, N, p_e)
-    return ComplexityReport(q_ae, q_r, c_o, c_l, q_r < c_l < c_o)

@@ -126,29 +126,37 @@ _LABEL_BY_FR: Mapping[int, str] = {
     0: "ABCD",
 }
 
-# Outcome-sequence trie: leaves are f_R values, internal nodes map the next
-# run's bits.  Built from the published table and validated by the forward
-# model in tests.
-_TABLE: Mapping[str, object] = {
-    "000": 14,
-    "010": 9,
-    "011": {"011": 13, "110": 12, "111": 6},
-    "110": {"011": 11, "110": 10, "111": 1},
-    "101": {"010": 8, "101": 7, "111": 0},
-    "111": {
-        "011": 5,
-        "110": 2,
-        "101": 0,
-        "111": {"011": 4, "110": 3, "101": 0, "111": 0},
-    },
+# The published decision table: each complete outcome sequence (one bit
+# triple per executed run) and the f_R it identifies.  Validated against the
+# forward model in tests.
+_F_R_BY_SIGNATURE: Mapping[tuple[str, ...], int] = {
+    ("000",): 14,
+    ("010",): 9,
+    ("011", "011"): 13,
+    ("011", "110"): 12,
+    ("011", "111"): 6,
+    ("110", "011"): 11,
+    ("110", "110"): 10,
+    ("110", "111"): 1,
+    ("101", "010"): 8,
+    ("101", "101"): 7,
+    ("101", "111"): 0,
+    ("111", "011"): 5,
+    ("111", "110"): 2,
+    ("111", "101"): 0,
+    ("111", "111", "011"): 4,
+    ("111", "111", "110"): 3,
+    ("111", "111", "101"): 0,
+    ("111", "111", "111"): 0,
 }
 
+# Sequences that still need another run: every proper prefix of a signature,
+# the empty one included.
+_PREFIXES = frozenset(sig[:k] for sig in _F_R_BY_SIGNATURE for k in range(len(sig)))
+
 # The four outcome sequences that identify the all-distinct relationship.
-ABCD_SIGNATURES: tuple[tuple[str, ...], ...] = (
-    ("101", "111"),
-    ("111", "101"),
-    ("111", "111", "101"),
-    ("111", "111", "111"),
+ABCD_SIGNATURES: tuple[tuple[str, ...], ...] = tuple(
+    sig for sig, f_r in _F_R_BY_SIGNATURE.items() if f_r == 0
 )
 
 
@@ -186,21 +194,12 @@ def resolve_f_r(
     DecisionOutcome when it identifies a relationship, and raises
     InconsistentOutcome when it matches no row.
     """
-    if not outcomes:
-        return NeedMoreRuns(run_pairing(1, 4))
-    seq = [_as_bits(o, 3) for o in outcomes]
-    node: object = _TABLE
-    for bits in seq:
-        if not isinstance(node, Mapping):
-            raise InconsistentOutcome(seq)  # longer than any table row
-        node = node.get(bits)
-        if node is None:
-            raise InconsistentOutcome(seq)
-    if isinstance(node, Mapping):
-        if len(seq) >= 3:
-            raise InconsistentOutcome(seq)
+    seq = tuple(_as_bits(o, 3) for o in outcomes)
+    if seq in _F_R_BY_SIGNATURE:
+        return _decision(_F_R_BY_SIGNATURE[seq], len(seq))
+    if seq in _PREFIXES:
         return NeedMoreRuns(run_pairing(len(seq) + 1, 4))
-    return _decision(int(node), len(seq))
+    raise InconsistentOutcome(seq)
 
 
 def resolve_three_party(outcome: RunOutcome | str) -> DecisionOutcome:

@@ -1,12 +1,13 @@
 """Pulse-level stochastic simulation of the full protocol.
 
-Codewords are synthesized by exact position budgeting: the worst-case
-pattern regions get integer position counts by largest-remainder
-apportionment, so pairwise distances are exact to one position rather than
-binomially noisy — the distance guarantee an error-correcting code provides.
-Per trial, detector counts are binomial draws per (region, detector) cell
-(independent detectors per pulse), runs execute adaptively exactly as the
-referee would, and the resolved relationship is compared with the truth.
+The joint codewords enter as a pulse budget: the worst-case pattern regions
+of optics.region_click_matrix get integer pulse counts by largest-remainder
+apportionment of their weights, so pairwise distances are exact to one pulse
+rather than binomially noisy — the distance guarantee an error-correcting
+code provides.  Per trial, detector counts are binomial draws per
+(region, detector) cell from the kernel's click probabilities plus dark
+counts (independent detectors per pulse), runs execute adaptively exactly as
+the referee would, and the resolved relationship is compared with the truth.
 
 Randomness uses counter-based Philox streams keyed by (seed, trial), so any
 subset of trials can be reproduced independently and parallel execution
@@ -27,13 +28,11 @@ from .core import (
     ChannelModel,
     DomainError,
     Encoding,
-    PatternRegion,
     ProtocolParams,
     Relationship,
     RunConfig,
     observed_detectors,
     run_pairing,
-    worst_case_regions,
 )
 from .decision import (
     DecisionOutcome,
@@ -42,13 +41,11 @@ from .decision import (
     outcome_bits,
     resolve_f_r,
 )
-from .optics import complement_rows, transfer_rows
+from .optics import region_click_matrix
 
 __all__ = [
     "TrialSpec",
     "TrialReport",
-    "CodewordSet",
-    "synthesize_codewords",
     "simulate",
     "wilson_interval",
 ]
@@ -76,47 +73,6 @@ def _apportion(weights: Sequence[float], total: int) -> tuple[int, ...]:
     for i in order[:leftover]:
         base[i] += 1
     return tuple(base)
-
-
-@dataclass(frozen=True)
-class CodewordSet:
-    """Synthesized joint codewords as budgeted pattern regions.
-
-    positions[j] is the region index of codeword position j (a random
-    permutation — no count statistic depends on the order).
-    """
-
-    regions: tuple[PatternRegion, ...]
-    counts: tuple[int, ...]
-    m: int
-    positions: np.ndarray
-
-    def pairwise_distance(self, a: int, b: int) -> float:
-        """Relative Hamming distance between senders a and b."""
-        differing = sum(
-            c for region, c in zip(self.regions, self.counts)
-            if region.bits[a - 1] != region.bits[b - 1]
-        )
-        return differing / self.m
-
-
-def synthesize_codewords(
-    rel: Relationship, pp: ProtocolParams, rng: np.random.Generator
-) -> CodewordSet:
-    """Budget the m positions over the worst-case pattern regions.
-
-    Pairwise relative distances of the result match the worst-case fractions
-    to within 1/m (largest-remainder rounding).
-    """
-    if pp.m < 10:
-        raise DomainError(f"need m >= 10 positions, got {pp.m}")
-    if rel.n != pp.N:
-        raise DomainError("relationship and protocol disagree on the sender count")
-    regions = worst_case_regions(rel, pp.delta)
-    counts = _apportion([r.weight for r in regions], pp.m)
-    positions = np.repeat(np.arange(len(regions), dtype=np.int64), counts)
-    rng.shuffle(positions)
-    return CodewordSet(regions, counts, pp.m, positions)
 
 
 @dataclass(frozen=True)
@@ -192,64 +148,16 @@ class TrialReport:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
 
 
-def _pulse_region_table(
-    spec: TrialSpec,
-) -> tuple[tuple[int, ...], list[tuple[complex, ...]], int]:
-    # Pulse-level joint phase regions with integer pulse budgets.
-    encoding = spec.runs[0].encoding
-    pulses = encoding.pulses(spec.pp.m)
-    if encoding is Encoding.SINGLE_BIT:
-        regions = worst_case_regions(spec.rel, spec.pp.delta)
-        counts = _apportion([r.weight for r in regions], pulses)
-        phases = [tuple(1.0 - 2.0 * b + 0.0j for b in r.bits) for r in regions]
-        return counts, phases, pulses
-    # Two-bit: bit pairs map to quarter phases; sender 2's relative phase per
-    # pulse depends on how many of the pair's bits flipped.
-    delta = spec.pp.delta
-    if spec.rel.all_equal:
-        weights = [1.0, 0.0, 0.0, 0.0]
-    else:
-        weights = [
-            (1.0 - delta) ** 2,
-            delta * (1.0 - delta),
-            delta * (1.0 - delta),
-            delta**2,
-        ]
-    phases = [(1.0 + 0j, p) for p in (1.0 + 0j, 1j, -1j, -1.0 + 0j)]
-    return _apportion(weights, pulses), phases, pulses
-
-
-def _click_matrix(
-    spec: TrialSpec, run: RunConfig, phase_regions: Sequence[tuple[complex, ...]], pulses: int
-) -> np.ndarray:
-    # Per-(region, detector) click probabilities for one run.
-    n = spec.pp.N
-    sqrt_eta = spec.ch.sqrt_eta
-    amps = np.array(
-        [sqrt_eta[s - 1] * run.alphas[s - 1] / math.sqrt(pulses) for s in run.pairing]
-    )
-    rows = transfer_rows(n)
-    crows = complement_rows(n)
-    nu = spec.ch.visibility
-    out = np.empty((len(phase_regions), n))
-    for r, sender_phases in enumerate(phase_regions):
-        fields = np.array([sender_phases[s - 1] for s in run.pairing]) * amps
-        inten = np.abs(rows @ fields) ** 2
-        inten_c = np.abs(crows @ fields) ** 2
-        p = nu * -np.expm1(-inten) + (1.0 - nu) * -np.expm1(-inten_c) + spec.ch.dark_count
-        out[r] = np.clip(p, 0.0, 1.0)
-    return out
-
-
 def simulate(spec: TrialSpec) -> TrialReport:
     """Run the campaign and aggregate decision and count statistics."""
     n = spec.pp.N
     observed = observed_detectors(n)
-    counts_vec, phase_regions, pulses = _pulse_region_table(spec)
-    n_col = np.array(counts_vec, dtype=np.int64)[:, None]
-    click_mats = [
-        _click_matrix(spec, run, phase_regions, pulses) for run in spec.runs
-    ]
+    click_mats = []
+    for run in spec.runs:  # the region weights are the same for every run
+        weights, probs = region_click_matrix(spec.rel, run, spec.ch, spec.pp)
+        click_mats.append(np.clip(probs + spec.ch.dark_count, 0.0, 1.0))
+    pulses = spec.runs[0].encoding.pulses(spec.pp.m)
+    n_col = np.array(_apportion(weights, pulses), dtype=np.int64)[:, None]
     analytic_means = [n_col[:, 0] @ mat for mat in click_mats]
 
     n_runs = len(spec.runs)

@@ -17,13 +17,17 @@ row's *complement* is the same combination with its second operand's sign
 flipped (the other output of the final splitter feeding that detector); with
 interference visibility nu < 1 a fraction (1 - nu) of the light behaves as if
 it exited that complement port instead.
+
+region_click_matrix is the one implementation of the per-pulse click model:
+it propagates each worst-case pattern region's joint phases through these
+rows and returns the region weights with a (region, detector) matrix of click
+probabilities.  oracle_click_profile mixes its rows by weight; the Monte Carlo
+draws each region's counts from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,11 +45,7 @@ from .probmodel import ClickProfile
 __all__ = [
     "transfer_rows",
     "complement_rows",
-    "sylvester_hadamard",
-    "PulsePattern",
-    "DetectorIntensities",
-    "tree_transfer",
-    "click_probability",
+    "region_click_matrix",
     "oracle_click_profile",
 ]
 
@@ -96,123 +96,59 @@ def complement_rows(n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def sylvester_hadamard(n: int) -> np.ndarray:
-    """The +-1 Sylvester-Hadamard matrix of order n (helper; H @ H.T = n*I).
+def region_click_matrix(
+    rel: Relationship,
+    run: RunConfig,
+    channel: ChannelModel,
+    protocol: ProtocolParams,
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """Worst-case pattern regions and their per-pulse click probabilities.
 
-    Not the device transfer for n > 2 — the tree taps differences early — but
-    useful as an orthogonality reference in tests.
+    Returns (weights, P): weights[r] is region r's fraction of the pulse
+    positions, and P[r, d] = nu*(1 - exp(-I)) + (1 - nu)*(1 - exp(-I_c)) is
+    detector d's click probability on a region-r pulse, where I and I_c are
+    the intensities of transfer_rows/complement_rows applied to that region's
+    joint phase pattern.  Dark counts and clipping to [0, 1] are left to the
+    caller: the oracle adds them after mixing the regions, the Monte Carlo
+    per region.
     """
-    _check_ports(n)
-    h = np.array([[1, 1], [1, -1]])
-    out = h
-    while out.shape[0] < n:
-        out = np.kron(h, out)
-    return out
-
-
-@dataclass(frozen=True)
-class PulsePattern:
-    """Input fields of one pulse slot: per-port phase factors and amplitudes.
-
-    phases           unit-modulus complex factors (the encoded bits)
-    amplitude_scale  nonnegative per-port field amplitudes
-    """
-
-    phases: tuple[complex, ...]
-    amplitude_scale: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phases", tuple(complex(p) for p in self.phases))
-        object.__setattr__(
-            self, "amplitude_scale", tuple(float(a) for a in self.amplitude_scale)
-        )
-        if len(self.phases) != len(self.amplitude_scale):
-            raise DomainError("phases and amplitude_scale must have equal length")
-        _check_ports(len(self.phases))
-        for p in self.phases:
-            if abs(abs(p) - 1.0) > 1e-9:
-                raise DomainError(f"phase factors must have unit modulus, got {p!r}")
-        for a in self.amplitude_scale:
-            if not (a >= 0.0 and math.isfinite(a)):
-                raise DomainError(f"amplitudes must be finite and >= 0, got {a!r}")
-
-
-@dataclass(frozen=True)
-class DetectorIntensities:
-    """Mean photon number arriving at each detector in one pulse slot."""
-
-    intensities: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.intensities)
-
-
-def tree_transfer(pattern: PulsePattern) -> DetectorIntensities:
-    """Propagate one pulse slot through the tree; return detector intensities.
-
-    Total output intensity equals total input intensity (the rows are
-    orthonormal).
-    """
-    fields = np.array(pattern.phases) * np.array(pattern.amplitude_scale)
-    out = transfer_rows(len(pattern.phases)) @ fields
-    return DetectorIntensities(tuple(float(x) for x in np.abs(out) ** 2))
-
-
-def click_probability(
-    intensity: float,
-    dark_count: float,
-    visibility: float = 1.0,
-    complement_intensity: float = 0.0,
-) -> float:
-    """Per-pulse click probability of a threshold detector.
-
-    A coherent field of mean photon number I clicks with probability
-    1 - exp(-I); with visibility nu a fraction (1 - nu) of the light behaves
-    as if routed to the complement port, and dark counts add on top.  Clamped
-    to [0, 1].
-    """
-    if not (intensity >= 0.0 and math.isfinite(intensity)):
-        raise DomainError(f"intensity must be finite and >= 0, got {intensity!r}")
-    if not (complement_intensity >= 0.0 and math.isfinite(complement_intensity)):
-        raise DomainError(
-            f"complement intensity must be finite and >= 0, got {complement_intensity!r}"
-        )
-    if not (0.0 <= dark_count < 1.0):
-        raise DomainError(f"dark_count must lie in [0, 1), got {dark_count!r}")
-    if not (0.0 <= visibility <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility!r}")
-    p = (
-        visibility * -math.expm1(-intensity)
-        + (1.0 - visibility) * -math.expm1(-complement_intensity)
-        + dark_count
-    )
-    return min(1.0, max(0.0, p))
-
-
-def _region_phase_weights(
-    rel: Relationship, encoding: Encoding, delta: float, n: int
-) -> list[tuple[tuple[complex, ...], float]]:
-    # Joint per-sender phase factors with their position-fraction weights.
-    if encoding is Encoding.SINGLE_BIT:
-        return [
-            (tuple(1.0 - 2.0 * b for b in r.bits), r.weight)
-            for r in worst_case_regions(rel, delta)
-        ]
-    # Two-bit encoding: pairs of codeword bits map onto quarter phases, so a
-    # sender whose codeword differs on a fraction delta of *bits* differs on
-    # one bit of a pair with probability 2*delta*(1-delta) (relative phase
-    # +-i) and on both with probability delta**2 (relative phase -1).
-    if n != 2:
+    n = rel.n
+    if n not in (2, 4):
+        raise DomainError(f"click matrix defined for 2 or 4 senders, got {n}")
+    if run.n_senders != n or channel.n_senders != n or protocol.N != n:
+        raise DomainError("relationship, run, channel and protocol sizes must agree")
+    delta = protocol.delta
+    if run.encoding is Encoding.SINGLE_BIT:
+        regions = worst_case_regions(rel, delta)
+        weights = tuple(r.weight for r in regions)
+        phases = [tuple(1.0 - 2.0 * b + 0.0j for b in r.bits) for r in regions]
+    elif n != 2:
         raise DomainError("two-bit encoding is defined for two senders only")
-    if rel.all_equal:
-        return [((1.0, 1.0), 1.0)]
-    return [
-        ((1.0, 1.0), (1.0 - delta) ** 2),
-        ((1.0, 1.0j), delta * (1.0 - delta)),
-        ((1.0, -1.0j), delta * (1.0 - delta)),
-        ((1.0, -1.0), delta**2),
-    ]
+    elif rel.all_equal:
+        weights, phases = (1.0,), [(1.0 + 0j, 1.0 + 0j)]
+    else:
+        # Two-bit encoding: pairs of codeword bits map onto quarter phases, so
+        # a sender whose codeword differs on a fraction delta of *bits*
+        # differs on one bit of a pair with probability 2*delta*(1-delta)
+        # (relative phase +-i) and on both with probability delta**2
+        # (relative phase -1).
+        weights = ((1.0 - delta) ** 2, delta * (1.0 - delta), delta * (1.0 - delta), delta**2)
+        phases = [(1.0 + 0j, p) for p in (1.0 + 0j, 1j, -1j, -1.0 + 0j)]
+    pulses = run.encoding.pulses(protocol.m)
+    sqrt_eta = channel.sqrt_eta
+    amps = np.array(
+        [sqrt_eta[s - 1] * run.alphas[s - 1] / math.sqrt(pulses) for s in run.pairing]
+    )
+    rows = transfer_rows(n)
+    crows = complement_rows(n)
+    nu = channel.visibility
+    out = np.empty((len(phases), n))
+    for r, sender_phases in enumerate(phases):
+        fields = np.array([sender_phases[s - 1] for s in run.pairing]) * amps
+        inten = np.abs(rows @ fields) ** 2
+        inten_c = np.abs(crows @ fields) ** 2
+        out[r] = nu * -np.expm1(-inten) + (1.0 - nu) * -np.expm1(-inten_c)
+    return weights, out
 
 
 def oracle_click_profile(
@@ -223,38 +159,14 @@ def oracle_click_profile(
 ) -> ClickProfile:
     """Per-pulse click probabilities by direct enumeration through the tree.
 
-    Enumerates the worst-case pattern regions, propagates each joint phase
-    pattern through transfer_rows/complement_rows, and mixes the resulting
-    click probabilities by region weight.  Independent of the closed-form
-    route, which never touches the transfer matrix — the two are compared in
-    tests.
+    Mixes region_click_matrix's rows by region weight, then adds dark counts
+    and clips.  Independent of the closed-form route, which never touches the
+    transfer matrix — the two are compared in tests.
     """
-    n = rel.n
-    if n not in (2, 4):
-        raise DomainError(f"oracle defined for 2 or 4 senders, got {n}")
-    if run.n_senders != n or channel.n_senders != n or protocol.N != n:
-        raise DomainError("relationship, run, channel and protocol sizes must agree")
-    pulses = run.encoding.pulses(protocol.m)
-    sqrt_eta = channel.sqrt_eta
-    amps = tuple(
-        sqrt_eta[s - 1] * run.alphas[s - 1] / math.sqrt(pulses) for s in run.pairing
-    )
-    rows = transfer_rows(n)
-    crows = complement_rows(n)
-    acc = np.zeros(n)
-    acc_c = np.zeros(n)
-    for sender_phases, weight in _region_phase_weights(rel, run.encoding, protocol.delta, n):
-        port_fields = np.array(
-            [sender_phases[s - 1] for s in run.pairing], dtype=complex
-        ) * np.array(amps)
-        inten = np.abs(rows @ port_fields) ** 2
-        inten_c = np.abs(crows @ port_fields) ** 2
-        acc += weight * -np.expm1(-inten)
-        acc_c += weight * -np.expm1(-inten_c)
-    nu = channel.visibility
-    probs = np.clip(nu * acc + (1.0 - nu) * acc_c + channel.dark_count, 0.0, 1.0)
+    weights, probs = region_click_matrix(rel, run, channel, protocol)
+    probs = np.clip(np.array(weights) @ probs + channel.dark_count, 0.0, 1.0)
     return ClickProfile(
         per_detector=tuple(float(p) for p in probs),
         condition=f"rel:{rel.canonical_label}",
-        pulses=pulses,
+        pulses=run.encoding.pulses(protocol.m),
     )

@@ -6,7 +6,6 @@ import pytest
 
 from qfnet.core import DomainError, Encoding, RunConfig, run_pairing
 from qfnet.complexity import (
-    build_report,
     classical_limit_ae,
     classical_optimal_ae,
     count_cases,
@@ -127,15 +126,3 @@ def test_count_cases_range_validation():
         count_cases(4, 5, 1)
     with pytest.raises(DomainError):
         count_cases(4, 2, 5)
-
-
-# --- report ------------------------------------------------------------------
-
-
-def test_build_report_ordering_flag():
-    n, N, p_e = int(1e13), 4, 1e-2
-    rep = build_report(q_ae=1.55e6, q_r=2.57e6, n=n, N=N, p_e=p_e)
-    assert rep.c_o_ae == pytest.approx(classical_optimal_ae(n, N, p_e), rel=1e-12)
-    assert rep.c_l_ae == pytest.approx(classical_limit_ae(n, N, p_e), rel=1e-12)
-    assert rep.ordering_satisfied  # q_r < classical limit < classical optimum
-    assert not build_report(q_ae=1e20, q_r=1e20, n=n, N=N, p_e=p_e).ordering_satisfied

@@ -1,4 +1,4 @@
-"""Seeded trial campaigns: codeword synthesis, decisions, count statistics."""
+"""Seeded trial campaigns: pulse budgets, decisions, count statistics."""
 
 import hashlib
 import json
@@ -16,15 +16,10 @@ from qfnet.core import (
     RunConfig,
     enumerate_relationships,
     run_pairing,
+    worst_case_regions,
 )
-from qfnet.montecarlo import (
-    CodewordSet,
-    TrialReport,
-    TrialSpec,
-    simulate,
-    synthesize_codewords,
-    wilson_interval,
-)
+from qfnet.montecarlo import TrialReport, TrialSpec, _apportion, simulate, wilson_interval
+from qfnet.optics import region_click_matrix
 from conftest import DESK_SEED
 
 
@@ -55,46 +50,59 @@ def test_wilson_interval_edges():
 
 
 # --- codeword synthesis ------------------------------------------------------
+#
+# simulate synthesizes the joint codewords as a pulse budget: the click
+# kernel's region weights, apportioned over the pulses.
 
 
-def synth(label, m=1000, delta=0.22):
-    pp = ProtocolParams(n=m * 5, c=0.2, delta=delta, epsilon=1e-3, N=len(label))
-    return synthesize_codewords(
-        Relationship.from_label(label), pp, np.random.default_rng(7)
+def pulse_budget(label, m=1000, delta=0.22, encoding=Encoding.SINGLE_BIT):
+    rel = Relationship.from_label(label)
+    pp = ProtocolParams(n=m * 5, c=0.2, delta=delta, epsilon=1e-3, N=rel.n)
+    run = RunConfig(
+        alphas=(1.0,) * rel.n,
+        pairing=run_pairing(1, rel.n),
+        thresholds=(0,) * (rel.n - 1),
+        encoding=encoding,
     )
+    weights, _ = region_click_matrix(rel, run, ChannelModel(eta=(1.0,) * rel.n), pp)
+    return weights, _apportion(weights, encoding.pulses(pp.m))
+
+
+def budget_distance(label, counts, a, b, delta=0.22):
+    # single-bit: the kernel's regions are the worst-case pattern regions
+    regions = worst_case_regions(Relationship.from_label(label), delta)
+    differing = sum(c for r, c in zip(regions, counts) if r.bits[a - 1] != r.bits[b - 1])
+    return differing / sum(counts)
 
 
 def test_synthesis_two_party_exact_distance():
-    cw = synth("AB")
-    assert cw.m == 1000
-    assert sum(cw.counts) == 1000
-    assert cw.pairwise_distance(1, 2) == pytest.approx(0.22)
-    assert len(cw.positions) == 1000
+    _, counts = pulse_budget("AB")
+    assert sum(counts) == 1000
+    assert budget_distance("AB", counts, 1, 2) == pytest.approx(0.22)
+    # two-bit: a pulse whose pair differs in one bit (phase +-i) or both (-1)
+    weights, counts = pulse_budget("AB", encoding=Encoding.TWO_BIT)
+    assert len(weights) == 4 and sum(counts) == 500
+    assert (counts[1] + counts[2] + 2 * counts[3]) / 1000 == pytest.approx(0.22, abs=1 / 500)
+    assert pulse_budget("AA", encoding=Encoding.TWO_BIT) == ((1.0,), (500,))
 
 
 def test_synthesis_four_party_distances():
-    cw = synth("AABC")
-    assert cw.pairwise_distance(1, 2) == 0.0
+    _, counts = pulse_budget("AABC")
+    assert budget_distance("AABC", counts, 1, 2) == 0.0
     for a, b in ((1, 3), (1, 4), (3, 4)):
-        assert cw.pairwise_distance(a, b) == pytest.approx(0.22)
+        assert budget_distance("AABC", counts, a, b) == pytest.approx(0.22)
 
 
 def test_synthesis_distances_within_rounding_for_all_relationships():
     delta = 0.22
-    pp = ProtocolParams(n=50_000, c=0.2, delta=delta, epsilon=1e-3, N=4)
-    rng = np.random.default_rng(11)
     for rel in enumerate_relationships(4):
-        cw = synthesize_codewords(rel, pp, rng)
+        label = rel.canonical_label
+        weights, counts = pulse_budget(label, m=10_000, delta=delta)
+        assert weights == tuple(r.weight for r in worst_case_regions(rel, delta))
         for a in range(1, 5):
             for b in range(a + 1, 5):
                 want = 0.0 if rel.group_of(a) == rel.group_of(b) else delta
-                assert abs(cw.pairwise_distance(a, b) - want) <= 1.0 / pp.m
-
-
-def test_synthesis_needs_enough_positions():
-    pp = ProtocolParams(n=20, c=0.2, delta=0.22, epsilon=1e-3, N=2)
-    with pytest.raises(DomainError):
-        synthesize_codewords(Relationship.from_label("AB"), pp, np.random.default_rng(0))
+                assert abs(budget_distance(label, counts, a, b, delta) - want) <= 1.0 / 10_000
 
 
 # --- trial spec validation ---------------------------------------------------
@@ -230,11 +238,11 @@ def test_simulate_two_party_two_bit():
 
 # --- pinned output -----------------------------------------------------------
 
-# sha256 of TrialReport.to_json() for small campaigns, recorded before the
-# click kernel and decision table were rewritten, so that any refactor of
-# simulate's physics or referee shows up as a changed digest.  The digests
-# also depend on numpy's Philox bit stream and its binomial sampler: a numpy
-# release that changes either changes them without any change here.
+# sha256 of TrialReport.to_json() for small campaigns.  A change to
+# simulate's click model, pulse budget or referee changes a digest, so a
+# refactor of any of them must leave these alone.  The digests also depend on
+# numpy's Philox bit stream and its binomial sampler: a numpy release that
+# changes either changes them without any change here.
 _LOSSY_CHANNEL = ChannelModel(eta=(1.0, 0.81, 0.64, 0.9), dark_count=5e-5, visibility=0.97)
 _PINNED_FOUR_PARTY = {
     ("AABC", "desk"): "8a7a6c557519c57862521c320d055da95168680160a3931e6b6b8921e4af2c9c",

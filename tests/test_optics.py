@@ -17,13 +17,10 @@ from qfnet.core import (
     run_pairing,
 )
 from qfnet.optics import (
-    PulsePattern,
-    click_probability,
     complement_rows,
     oracle_click_profile,
-    sylvester_hadamard,
+    region_click_matrix,
     transfer_rows,
-    tree_transfer,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -80,32 +77,21 @@ def test_complement_rows_four_ports_explicit():
     np.testing.assert_allclose(comp[3], [0, 0, S2, S2], atol=1e-15)
 
 
-def test_sylvester_hadamard_identity():
-    for n in (2, 4, 8):
-        h = sylvester_hadamard(n)
-        assert set(np.unique(h)) == {-1.0, 1.0}
-        np.testing.assert_allclose(h @ h.T, n * np.eye(n), atol=1e-12)
-    # the tree transfer is not the (normalized) Sylvester matrix beyond n=2:
-    # the pair taps have zero support on the opposite pair
-    assert np.any(transfer_rows(4) == 0.0)
-
-
 def test_tree_transfer_interference_extremes():
-    equal = tree_transfer(PulsePattern(phases=(1, 1), amplitude_scale=(0.3, 0.3)))
-    assert equal.intensities[0] == pytest.approx(2 * 0.3**2, rel=1e-12)
-    assert equal.intensities[1] == pytest.approx(0.0, abs=1e-15)
-    flipped = tree_transfer(PulsePattern(phases=(1, -1), amplitude_scale=(0.3, 0.3)))
-    assert flipped.intensities[0] == pytest.approx(0.0, abs=1e-15)
-    assert flipped.intensities[1] == pytest.approx(2 * 0.3**2, rel=1e-12)
+    rows = transfer_rows(2)
+    equal = np.abs(rows @ np.array([0.3, 0.3])) ** 2
+    assert equal[0] == pytest.approx(2 * 0.3**2, rel=1e-12)
+    assert equal[1] == pytest.approx(0.0, abs=1e-15)
+    flipped = np.abs(rows @ np.array([0.3, -0.3])) ** 2
+    assert flipped[0] == pytest.approx(0.0, abs=1e-15)
+    assert flipped[1] == pytest.approx(2 * 0.3**2, rel=1e-12)
 
 
 def test_tree_transfer_single_flip_four_ports():
     a = 0.7
-    out = tree_transfer(PulsePattern(phases=(1, 1, 1, -1), amplitude_scale=(a,) * 4))
-    np.testing.assert_allclose(
-        out.intensities, [a**2, 0.0, a**2, 2 * a**2], atol=1e-12
-    )
-    assert out.total == pytest.approx(4 * a**2, rel=1e-12)
+    out = np.abs(transfer_rows(4) @ (a * np.array([1.0, 1.0, 1.0, -1.0]))) ** 2
+    np.testing.assert_allclose(out, [a**2, 0.0, a**2, 2 * a**2], atol=1e-12)
+    assert out.sum() == pytest.approx(4 * a**2, rel=1e-12)
 
 
 @given(
@@ -115,63 +101,76 @@ def test_tree_transfer_single_flip_four_ports():
 )
 def test_tree_transfer_conserves_energy(log_n, amps, flips):
     n = 2**log_n
-    pattern = PulsePattern(
-        phases=tuple(-1.0 if f else 1.0 for f in flips[:n]),
-        amplitude_scale=tuple(amps[:n]),
-    )
-    out = tree_transfer(pattern)
-    assert out.total == pytest.approx(sum(a * a for a in amps[:n]), abs=1e-9)
-
-
-def test_pulse_pattern_validation():
-    with pytest.raises(DomainError):
-        PulsePattern(phases=(1.0, 0.5), amplitude_scale=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        PulsePattern(phases=(1.0, 1.0, 1.0), amplitude_scale=(1.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        PulsePattern(phases=(1.0, 1.0), amplitude_scale=(1.0, -1.0))
-    # complex unit phases are fine (two-bit encoding uses +-i)
-    PulsePattern(phases=(1.0, 1.0j), amplitude_scale=(1.0, 1.0))
+    fields = np.array([-a if f else a for a, f in zip(amps[:n], flips[:n])])
+    out = np.abs(transfer_rows(n) @ fields) ** 2
+    assert out.sum() == pytest.approx(sum(a * a for a in amps[:n]), abs=1e-9)
 
 
 # --- click probability ------------------------------------------------------
 
 
+def _two_party_clicks(a1, a2=None, visibility=1.0, dark_count=0.0):
+    # Two equal senders with per-pulse field amplitudes a1, a2 at the ports:
+    # one region, D1 sees (a1 + a2)**2 / 2 and its complement (a1 - a2)**2 / 2.
+    a2 = a1 if a2 is None else a2
+    pp = ProtocolParams(n=1000, c=2.0, delta=0.22, epsilon=1e-3, N=2)
+    ch = ChannelModel(eta=(1.0, 1.0), dark_count=dark_count, visibility=visibility)
+    scale = math.sqrt(pp.m)
+    run = RunConfig(alphas=(a1 * scale, a2 * scale), pairing=(1, 2), thresholds=(0,))
+    rel = Relationship.from_label("AA")
+    weights, probs = region_click_matrix(rel, run, ch, pp)
+    assert weights == (1.0,)
+    return probs[0], oracle_click_profile(rel, run, ch, pp).per_detector
+
+
 def test_click_probability_edges():
-    assert click_probability(0.0, 0.0) == 0.0
-    assert click_probability(0.0, 1e-7) == pytest.approx(1e-7)
-    assert click_probability(50.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert click_probability(1e9, 0.5) == 1.0  # clamped
+    probs, _ = _two_party_clicks(0.0)
+    assert probs.tolist() == [0.0, 0.0]  # no light, no clicks
+    _, oracle = _two_party_clicks(0.0, dark_count=1e-7)
+    assert oracle == pytest.approx((1e-7, 1e-7))  # dark counts on top
+    probs, _ = _two_party_clicks(5.0)  # I = 50 at D1
+    assert probs[0] == pytest.approx(1.0, abs=1e-12)
+    _, oracle = _two_party_clicks(3e4, dark_count=0.5)
+    assert oracle[0] == 1.0  # clamped
 
 
 def test_click_probability_small_intensity_is_linear():
     # 1 - exp(-I) ~= I must survive at intensities far below float epsilon
     for i in (1e-9, 1e-12, 1e-15):
-        assert click_probability(i, 0.0) == pytest.approx(i, rel=1e-6)
+        probs, _ = _two_party_clicks(math.sqrt(i / 2))
+        assert probs[0] == pytest.approx(i, rel=1e-6)
 
 
 def test_click_probability_visibility_mixing():
-    i, ic, nu, dark = 0.8, 0.1, 0.97, 1e-5
-    want = nu * (1 - math.exp(-i)) + (1 - nu) * (1 - math.exp(-ic)) + dark
-    got = click_probability(i, dark, visibility=nu, complement_intensity=ic)
-    assert got == pytest.approx(want, rel=1e-12)
+    a1, a2, nu, dark = 1.0, 0.5, 0.97, 1e-5
+    i, ic = (a1 + a2) ** 2 / 2, (a1 - a2) ** 2 / 2
+    probs, oracle = _two_party_clicks(a1, a2, visibility=nu, dark_count=dark)
+    want = nu * (1 - math.exp(-i)) + (1 - nu) * (1 - math.exp(-ic))
+    assert probs[0] == pytest.approx(want, rel=1e-12)
+    # D2 sits on the complement port of D1's splitter
+    want_2 = nu * (1 - math.exp(-ic)) + (1 - nu) * (1 - math.exp(-i))
+    assert probs[1] == pytest.approx(want_2, rel=1e-12)
+    assert oracle[0] == pytest.approx(want + dark, rel=1e-12)
 
 
 def test_click_probability_validation():
-    with pytest.raises(DomainError):
-        click_probability(-1.0, 0.0)
-    with pytest.raises(DomainError):
-        click_probability(1.0, -0.1)
-    with pytest.raises(DomainError):
-        click_probability(1.0, 0.0, visibility=1.5)
-    with pytest.raises(DomainError):
-        click_probability(1.0, 0.0, complement_intensity=-2.0)
+    pp, ch, run = _four_party_setup()
+    with pytest.raises(DomainError):  # sizes must agree
+        region_click_matrix(Relationship.from_label("AB"), run, ch, pp)
+    two_bit = RunConfig(
+        alphas=run.alphas, pairing=run.pairing, thresholds=run.thresholds,
+        encoding=Encoding.TWO_BIT,
+    )
+    with pytest.raises(DomainError):  # two-bit encoding pairs two senders only
+        region_click_matrix(Relationship.from_label("AABC"), two_bit, ch, pp)
 
 
 @given(st.floats(0, 5), st.floats(0, 5))
 def test_click_probability_monotone_in_intensity(i1, i2):
     lo, hi = sorted((i1, i2))
-    assert click_probability(lo, 0.0) <= click_probability(hi, 0.0) + 1e-15
+    p_lo, _ = _two_party_clicks(math.sqrt(lo / 2))
+    p_hi, _ = _two_party_clicks(math.sqrt(hi / 2))
+    assert p_lo[0] <= p_hi[0] + 1e-15
 
 
 # --- enumeration oracle sanity ----------------------------------------------
