@@ -249,6 +249,11 @@ _PINNED_FOUR_PARTY = {
     ("ABCD", "desk"): "a4f44e08a40ed9b76255b0b74f90f5648317f291461fd9923318a8ddb4870862",
     ("AABC", "lossy"): "2eae339b5a794ae7bfade92c1b4d208a6081016e433080dac8e0c0ad67387a1b",
     ("ABCD", "lossy"): "148c540e2c31dc576ac077134088a88291d3f1d3c628687e0d3f6a8d684a2021",
+    # inconsistent and incorrect trials: AAAA has one inconsistent trial that
+    # took a second run, ABAB is ~70% inconsistent, ABBA mixes 2 and 3 runs
+    ("AAAA", "lossy"): "d27a11111ad1d7439040572ac0f17bfc59acd531a06a5ee7a6b7768b8537349d",
+    ("ABAB", "lossy"): "08e79900c8b7c6e37c718c69d8ea9933e576ac8b47a694ed8bbb68558fd30ed1",
+    ("ABBA", "lossy"): "7fc279a10fa9c761e6a5e05b0d91146ccb847f54d95b12d5d6f1a2eda6dbb94f",
 }
 _PINNED_TWO_PARTY = {
     ("AA", Encoding.SINGLE_BIT): "90d796011ac735c0019558ea4b26b06096a4c6ad8a7530e5a635ebc73bfce778",
