@@ -6,13 +6,17 @@ are D2 (compares ports 1,2), D3 (compares the port pairs) and D4 (ports
 3,4); an adaptive schedule swaps which senders sit at which ports between
 runs, and the outcome-bit sequence indexes a lookup table that pins down the
 full relationship f_R.  Three-party instances reuse the four-port device
-with sender 1 duplicated on port 4.
+with sender 1 duplicated on port 4; two senders read one detector once.
+Each sender count has one flat table from complete outcome sequence to its
+decision, and one resolver serves all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     DomainError,
@@ -22,7 +26,6 @@ from .core import (
 )
 
 __all__ = [
-    "RunOutcome",
     "DecisionOutcome",
     "NeedMoreRuns",
     "InconsistentOutcome",
@@ -34,6 +37,7 @@ __all__ = [
     "resolve_f_r",
     "resolve_f_ae",
     "resolve_three_party",
+    "resolve_schedule",
     "run_budget",
     "pairwise_run_count",
     "forward_bits",
@@ -56,22 +60,11 @@ class InconsistentOutcome(Exception):
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """Threshold outcome bits of one run, one bit per observed detector."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if not self.bits or any(b not in "01" for b in self.bits):
-            raise DomainError(f"outcome bits must be a non-empty 0/1 string, got {self.bits!r}")
-
-
-@dataclass(frozen=True)
 class DecisionOutcome:
     """Resolved relationship with its label and the coarser predicates.
 
     f_r counts down from 14 (all equal) to 0 (all distinct) for four
-    senders, and from 4 to 0 for three.
+    senders, from 4 to 0 for three and from 1 to 0 for two.
     """
 
     f_r: int
@@ -93,17 +86,26 @@ MODE_SUM = "SumDetectors"
 MODE_TWO_DETECTOR = "TwoDetector"
 
 
-def outcome_bits(counts: Sequence[int], thresholds: Sequence[int]) -> RunOutcome:
-    """Threshold counts into bits: 0 iff count < threshold."""
-    if len(counts) != len(thresholds) or not counts:
+# One run's outcome: a 0/1 string or a row of booleans, one per detector.
+Bits = str | Sequence[bool]
+
+
+def outcome_bits(counts: Sequence | np.ndarray, thresholds: Sequence | np.ndarray) -> np.ndarray:
+    """Threshold counts into bits along the last axis: True iff count >= threshold.
+
+    Leading axes (trials, runs, ...) broadcast, so per-run thresholds of shape
+    (runs, detectors) apply to counts of shape (trials, runs, detectors).
+    """
+    counts, thresholds = np.asarray(counts), np.asarray(thresholds)
+    width = counts.shape[-1] if counts.ndim else 0
+    if not width or not thresholds.ndim or thresholds.shape[-1] != width:
         raise DomainError(
-            f"counts and thresholds must have equal nonzero length, got "
-            f"{len(counts)} and {len(thresholds)}"
+            f"counts and thresholds need equal nonzero last axes, got shapes "
+            f"{counts.shape} and {thresholds.shape}"
         )
-    for c in counts:
-        if c < 0:
-            raise DomainError(f"counts must be >= 0, got {c}")
-    return RunOutcome("".join("0" if c < t else "1" for c, t in zip(counts, thresholds)))
+    if (counts < 0).any():
+        raise DomainError(f"counts must be >= 0, got {counts.min()}")
+    return counts >= thresholds
 
 
 # Relationship label by f_R value (canonical first-appearance labels; e.g. the
@@ -150,9 +152,35 @@ _F_R_BY_SIGNATURE: Mapping[tuple[str, ...], int] = {
     ("111", "111", "111"): 0,
 }
 
+
+def _decisions(
+    f_r_by_signature: Mapping[tuple[str, ...], int], label_by_f_r: Mapping[int, str]
+) -> dict[tuple[str, ...], DecisionOutcome]:
+    table = {}
+    for sig, f_r in f_r_by_signature.items():
+        rel = Relationship.from_label(label_by_f_r[f_r])
+        table[sig] = DecisionOutcome(f_r, rel, len(sig), rel.all_equal, rel.any_equal)
+    return table
+
+
+# Per sender count: each complete outcome sequence and its decision.
+_DECISIONS: Mapping[int, Mapping[tuple[str, ...], DecisionOutcome]] = {
+    # two senders: one run, bit 0 means the pair looks equal
+    2: _decisions({("0",): 1, ("1",): 0}, {1: "AA", 0: "AB"}),
+    # three senders: one run on the four-port device, sender 1 also at port 4
+    3: _decisions(
+        {("000",): 4, ("011",): 3, ("110",): 2, ("101",): 1, ("111",): 0},
+        {4: "AAA", 3: "AAB", 2: "ABA", 1: "ABB", 0: "ABC"},
+    ),
+    4: _decisions(_F_R_BY_SIGNATURE, _LABEL_BY_FR),
+}
+
 # Sequences that still need another run: every proper prefix of a signature,
 # the empty one included.
-_PREFIXES = frozenset(sig[:k] for sig in _F_R_BY_SIGNATURE for k in range(len(sig)))
+_PREFIXES = {
+    n: frozenset(sig[:k] for sig in table for k in range(len(sig)))
+    for n, table in _DECISIONS.items()
+}
 
 # The four outcome sequences that identify the all-distinct relationship.
 ABCD_SIGNATURES: tuple[tuple[str, ...], ...] = tuple(
@@ -167,51 +195,54 @@ def relationship_by_f_r(f_r: int) -> Relationship:
     return Relationship.from_label(_LABEL_BY_FR[f_r])
 
 
-def _decision(f_r: int, runs_used: int) -> DecisionOutcome:
-    rel = Relationship.from_label(_LABEL_BY_FR[f_r])
-    return DecisionOutcome(
-        f_r=f_r,
-        relationship=rel,
-        runs_used=runs_used,
-        f_ae=rel.all_equal,
-        f_ee=rel.any_equal,
-    )
-
-
-def _as_bits(outcome: RunOutcome | str, width: int) -> str:
-    bits = outcome.bits if isinstance(outcome, RunOutcome) else str(outcome)
+def _as_bits(outcome: Bits, width: int) -> str:
+    bits = outcome if isinstance(outcome, str) else "".join("1" if b else "0" for b in outcome)
     if len(bits) != width or any(b not in "01" for b in bits):
         raise DomainError(f"expected {width} outcome bits, got {bits!r}")
     return bits
 
 
-def resolve_f_r(
-    outcomes: Sequence[RunOutcome | str],
-) -> DecisionOutcome | NeedMoreRuns:
+def _resolve(n: int, outcomes: Sequence[Bits]) -> DecisionOutcome | NeedMoreRuns:
+    table = _DECISIONS[n]
+    width = len(next(iter(table))[0])  # bits per run
+    seq = tuple(_as_bits(o, width) for o in outcomes)
+    if seq in table:
+        return table[seq]
+    if seq in _PREFIXES[n]:
+        return NeedMoreRuns(run_pairing(len(seq) + 1, n))
+    raise InconsistentOutcome(seq)
+
+
+def resolve_f_r(outcomes: Sequence[Bits]) -> DecisionOutcome | NeedMoreRuns:
     """Resolve a four-party outcome sequence against the decision table.
 
     Returns NeedMoreRuns(next_pairing) when the prefix is ambiguous, the
     DecisionOutcome when it identifies a relationship, and raises
     InconsistentOutcome when it matches no row.
     """
-    seq = tuple(_as_bits(o, 3) for o in outcomes)
-    if seq in _F_R_BY_SIGNATURE:
-        return _decision(_F_R_BY_SIGNATURE[seq], len(seq))
-    if seq in _PREFIXES:
-        return NeedMoreRuns(run_pairing(len(seq) + 1, 4))
-    raise InconsistentOutcome(seq)
+    return _resolve(4, outcomes)
 
 
-def resolve_three_party(outcome: RunOutcome | str) -> DecisionOutcome:
+def resolve_three_party(outcome: Bits) -> DecisionOutcome:
     """Resolve a one-run three-party outcome (sender 1 duplicated at port 4)."""
-    bits = _as_bits(outcome, 3)
-    table = {"000": 4, "011": 3, "110": 2, "101": 1, "111": 0}
-    labels = {4: "AAA", 3: "AAB", 2: "ABA", 1: "ABB", 0: "ABC"}
-    if bits not in table:
-        raise InconsistentOutcome([bits])
-    f_r = table[bits]
-    rel = Relationship.from_label(labels[f_r])
-    return DecisionOutcome(f_r, rel, 1, rel.all_equal, rel.any_equal)
+    return _resolve(3, [outcome])
+
+
+def resolve_schedule(n: int, outcomes: Sequence[Bits]) -> tuple[DecisionOutcome | None, int]:
+    """The referee's verdict on the outcomes of every scheduled run.
+
+    Runs are read in schedule order up to the shortest prefix that resolves;
+    returns its decision and length.  A prefix that neither resolves nor
+    leads to a signature is inconsistent: (None, its length).
+    """
+    for k in range(1, len(outcomes) + 1):
+        try:
+            verdict = _resolve(n, outcomes[:k])
+        except InconsistentOutcome:
+            return None, k
+        if isinstance(verdict, DecisionOutcome):
+            return verdict, k
+    return None, len(outcomes)
 
 
 def resolve_f_ae(
@@ -276,17 +307,13 @@ def forward_signature(rel: Relationship) -> tuple[str, ...]:
     """Outcome-bit sequence the adaptive schedule produces for a relationship."""
     if rel.n != 4:
         raise DomainError(f"forward signatures defined for 4 senders, got {rel.n}")
-    outcomes: list[str] = []
-    while True:
-        outcomes.append(forward_bits(rel, run_pairing(len(outcomes) + 1, 4)))
-        resolved = resolve_f_r(outcomes)
-        if isinstance(resolved, DecisionOutcome):
-            if resolved.relationship != rel:
-                raise AssertionError(
-                    f"table/forward mismatch: {rel.canonical_label} resolved as "
-                    f"{resolved.relationship.canonical_label}"
-                )
-            return tuple(outcomes)
+    outcomes = [forward_bits(rel, run_pairing(i, 4)) for i in (1, 2, 3)]
+    resolved, runs_used = resolve_schedule(4, outcomes)
+    if resolved is None or resolved.relationship != rel:
+        raise AssertionError(
+            f"table/forward mismatch: {rel.canonical_label} resolved as {resolved}"
+        )
+    return tuple(outcomes[:runs_used])
 
 
 def pairwise_run_count(rel: Relationship) -> tuple[int, int]:
@@ -353,8 +380,7 @@ def decision_table_rows(n_senders: int) -> list[dict[str, object]]:
         return rows
     if n_senders == 3:
         rows = []
-        for bits in ("000", "011", "110", "101", "111"):
-            out = resolve_three_party(bits)
+        for (bits,), out in _DECISIONS[3].items():
             rel3 = out.relationship
             # pattern actually interfered: senders (1, 2, 3, 1) at the ports,
             # lettered by group size like the relationship column

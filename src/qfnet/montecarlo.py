@@ -6,13 +6,18 @@ apportionment of their weights, so pairwise distances are exact to one pulse
 rather than binomially noisy — the distance guarantee an error-correcting
 code provides.  Per trial, detector counts are binomial draws per
 (region, detector) cell from the kernel's click probabilities plus dark
-counts (independent detectors per pulse), runs execute adaptively exactly as
-the referee would, and the resolved relationship is compared with the truth.
+counts (independent detectors per pulse).  The referee reads the runs
+adaptively, exactly as decision.resolve_schedule does, and the resolved
+relationship is compared with the truth; each distinct outcome pattern is
+resolved once.
 
 Randomness uses counter-based Philox streams keyed by (seed, trial), so any
 subset of trials can be reproduced independently and parallel execution
-would draw identical numbers; within a trial the draw order is fixed (runs
-in schedule order, one vectorized draw per run).
+would draw identical numbers.  Each trial draws every scheduled run in one
+vectorized call, in schedule order, so the runs the referee skips come after
+the executed ones in the trial's stream and change none of their counts.
+The counts of a campaign are held as one int64 array: 8 * runs * N bytes per
+trial (96 B for four senders).
 """
 
 from __future__ import annotations
@@ -34,13 +39,7 @@ from .core import (
     observed_detectors,
     run_pairing,
 )
-from .decision import (
-    DecisionOutcome,
-    InconsistentOutcome,
-    NeedMoreRuns,
-    outcome_bits,
-    resolve_f_r,
-)
+from .decision import outcome_bits, resolve_schedule
 from .optics import region_click_matrix
 
 __all__ = [
@@ -148,75 +147,48 @@ class TrialReport:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
 
 
+def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -> np.ndarray:
+    """Detector counts of every scheduled run: (trials, runs, N) int64.
+
+    click[run, region, detector] are the click probabilities and n_col the
+    pulses per region (a column); trial t draws all cells in one call from
+    Philox(key=[seed, t + 1]) and sums them over the regions.
+    """
+    counts = np.empty((trials, click.shape[0], click.shape[2]), dtype=np.int64)
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, trial + 1]))
+        counts[trial] = rng.binomial(n_col, click).sum(axis=1)
+    return counts
+
+
 def simulate(spec: TrialSpec) -> TrialReport:
     """Run the campaign and aggregate decision and count statistics."""
-    n = spec.pp.N
-    observed = observed_detectors(n)
-    click_mats = []
-    for run in spec.runs:  # the region weights are the same for every run
-        weights, probs = region_click_matrix(spec.rel, run, spec.ch, spec.pp)
-        click_mats.append(np.clip(probs + spec.ch.dark_count, 0.0, 1.0))
+    kernels = [region_click_matrix(spec.rel, run, spec.ch, spec.pp) for run in spec.runs]
+    weights = kernels[0][0]  # the region weights are the same for every run
+    click = np.clip(np.stack([probs for _, probs in kernels]) + spec.ch.dark_count, 0.0, 1.0)
     pulses = spec.runs[0].encoding.pulses(spec.pp.m)
     n_col = np.array(_apportion(weights, pulses), dtype=np.int64)[:, None]
-    analytic_means = [n_col[:, 0] @ mat for mat in click_mats]
+    analytic_means = n_col[:, 0] @ click
 
-    n_runs = len(spec.runs)
-    exec_count = [0] * n_runs
-    sums = [np.zeros(n) for _ in range(n_runs)]
-    sumsq = [np.zeros(n) for _ in range(n_runs)]
-    n_correct = n_incorrect = n_inconsistent = 0
-    runs_hist: dict[int, int] = {}
-    total_runs_used = 0
-
-    for trial in range(spec.trials):
-        rng = np.random.Generator(np.random.Philox(key=[spec.seed, trial + 1]))
-        outcomes: list[str] = []
-        resolved: DecisionOutcome | None = None
-        inconsistent = False
-        for run_index in range(n_runs):
-            run = spec.runs[run_index]
-            draws = rng.binomial(n_col, click_mats[run_index]).sum(axis=0)
-            exec_count[run_index] += 1
-            sums[run_index] += draws
-            sumsq[run_index] += draws.astype(np.float64) ** 2
-            obs = [int(draws[d]) for d in observed]
-            outcomes.append(outcome_bits(obs, run.thresholds).bits)
-            if n == 2:
-                # one run decides: bit 0 means the pair looks equal
-                label = "AA" if outcomes[0] == "0" else "AB"
-                resolved = DecisionOutcome(
-                    f_r=1 if label == "AA" else 0,
-                    relationship=Relationship.from_label(label),
-                    runs_used=1,
-                    f_ae=label == "AA",
-                    f_ee=label == "AA",
-                )
-                break
-            try:
-                verdict = resolve_f_r(outcomes)
-            except InconsistentOutcome:
-                inconsistent = True
-                break
-            if isinstance(verdict, DecisionOutcome):
-                resolved = verdict
-                break
-            assert isinstance(verdict, NeedMoreRuns)
-        runs_used = len(outcomes)
-        total_runs_used += runs_used
-        runs_hist[runs_used] = runs_hist.get(runs_used, 0) + 1
-        if inconsistent or resolved is None:
-            n_inconsistent += 1
-        elif resolved.relationship == spec.rel:
-            n_correct += 1
-        else:
-            n_incorrect += 1
+    counts = _draw_counts(n_col, click, spec.seed, spec.trials)
+    observed = list(observed_detectors(spec.pp.N))
+    bits = outcome_bits(counts[..., observed], [run.thresholds for run in spec.runs])
+    patterns, inverse = np.unique(bits, axis=0, return_inverse=True)
+    verdicts = [resolve_schedule(spec.pp.N, pattern) for pattern in patterns]
+    runs_used = np.array([k for _, k in verdicts])[inverse.ravel()]
+    # 0 correct, 1 incorrect, 2 inconsistent
+    grade = np.array([2 if d is None else int(d.relationship != spec.rel) for d, _ in verdicts])
+    n_correct, n_incorrect, n_inconsistent = (
+        int(c) for c in np.bincount(grade[inverse.ravel()], minlength=3)
+    )
 
     stats = []
-    for run_index in range(n_runs):
-        k = exec_count[run_index]
+    for run_index in range(len(spec.runs)):
+        executed = counts[runs_used > run_index, run_index]
+        k = len(executed)
         if k:
-            mean = sums[run_index] / k
-            var = sumsq[run_index] / k - mean**2
+            mean = executed.sum(axis=0) / k
+            var = np.square(executed, dtype=np.float64).sum(axis=0) / k - mean**2
             if k > 1:  # unbiased sample variance
                 var = var * k / (k - 1)
             mean_l, var_l = [float(x) for x in mean], [float(max(0.0, v)) for v in var]
@@ -239,7 +211,7 @@ def simulate(spec: TrialSpec) -> TrialReport:
         empirical_incorrect_rate=n_incorrect / t,
         empirical_inconsistent_rate=n_inconsistent / t,
         wilson_95=wilson_interval(n_correct, t),
-        mean_runs_used=total_runs_used / t,
-        runs_histogram=runs_hist,
+        mean_runs_used=int(runs_used.sum()) / t,
+        runs_histogram={k: int(c) for k, c in enumerate(np.bincount(runs_used)) if c},
         per_detector_count_stats=tuple(stats),
     )

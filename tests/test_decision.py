@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from qfnet.core import DomainError, Relationship, enumerate_relationships, run_pairing
@@ -21,6 +22,7 @@ from qfnet.decision import (
     relationship_by_f_r,
     resolve_f_ae,
     resolve_f_r,
+    resolve_schedule,
     resolve_three_party,
     run_budget,
 )
@@ -50,12 +52,34 @@ TABLE = {
 
 
 def test_outcome_bits_thresholding():
-    assert outcome_bits((3, 50, 2), (10, 10, 10)).bits == "010"
-    assert outcome_bits((0, 0, 0), (1, 1, 1)).bits == "000"
+    assert outcome_bits((3, 50, 2), (10, 10, 10)).tolist() == [False, True, False]
+    assert outcome_bits((0, 0, 0), (1, 1, 1)).tolist() == [False, False, False]
     # a count exactly at threshold reads as a click outcome
-    assert outcome_bits((10,), (10,)).bits == "1"
+    assert outcome_bits((10,), (10,)).tolist() == [True]
     with pytest.raises(DomainError):
         outcome_bits((1, 2), (10,))
+    with pytest.raises(DomainError):
+        outcome_bits((), ())
+    with pytest.raises(DomainError):
+        outcome_bits((3, -1), (1, 1))
+    # (trials, runs, detectors) counts against per-run thresholds
+    counts = np.array(
+        [
+            [[3, 50, 2], [9, 10, 11]],
+            [[10, 0, 7], [0, 0, 40]],
+        ]
+    )
+    thresholds = np.array([[10, 10, 10], [9, 11, 40]])
+    bits = outcome_bits(counts, thresholds)
+    assert bits.dtype == bool and bits.shape == (2, 2, 3)
+    assert bits.astype(int).tolist() == [
+        [[0, 1, 0], [1, 0, 0]],
+        [[1, 0, 0], [0, 0, 1]],
+    ]
+    # a bool row resolves like its 0/1 string
+    assert resolve_f_r(outcome_bits([[0, 50, 0]], [10, 10, 10])) == resolve_f_r(["010"])
+    with pytest.raises(DomainError):
+        outcome_bits(counts, thresholds[:, :2])
 
 
 # --- forward model -----------------------------------------------------------
@@ -162,6 +186,46 @@ def test_resolve_is_exhaustively_the_published_table():
                 with pytest.raises(InconsistentOutcome):
                     resolve_f_r(seq)
     assert (resolved, waiting) == (18, len(prefixes))
+
+
+def _full_schedule_cases():
+    # (sender count, signatures -> f_r, runs per schedule, bits per run)
+    four = {sig: f_r for f_r, sig in TABLE.values()}
+    four.update({sig: 0 for sig in ABCD_SIGNATURES})
+    three = {("000",): 4, ("011",): 3, ("110",): 2, ("101",): 1, ("111",): 0}
+    two = {("0",): 1, ("1",): 0}
+    return [(4, four, 3, 3), (3, three, 1, 3), (2, two, 1, 1)]
+
+
+@pytest.mark.parametrize("n, signatures, runs, width", _full_schedule_cases())
+def test_resolve_schedule_is_exhaustive(n, signatures, runs, width):
+    # Every draw of the full schedule resolves at the one signature that
+    # prefixes it, or is inconsistent at the first prefix that neither is a
+    # signature nor leads to one.
+    prefixes = {sig[:k] for sig in signatures for k in range(1, len(sig))}
+    outcomes = ["".join(bits) for bits in itertools.product("01", repeat=width)]
+    draws = list(itertools.product(outcomes, repeat=runs))
+    assert len(draws) == {4: 512, 3: 8, 2: 2}[n]
+    resolved = 0
+    for draw in draws:
+        matching = [sig for sig in signatures if draw[: len(sig)] == sig]
+        decision, runs_used = resolve_schedule(n, draw)
+        if matching:
+            (sig,) = matching
+            assert decision is not None and decision.f_r == signatures[sig], draw
+            assert runs_used == decision.runs_used == len(sig), draw
+            resolved += 1
+        else:
+            k = next(
+                k for k in range(1, runs + 1)
+                if draw[:k] not in signatures and draw[:k] not in prefixes
+            )
+            assert (decision, runs_used) == (None, k), draw
+        # a bool array of the same draw reads the same
+        as_bools = np.array([[b == "1" for b in run] for run in draw])
+        assert resolve_schedule(n, as_bools) == (decision, runs_used), draw
+    # signatures are prefix-free, so each one claims all its continuations
+    assert resolved == sum(len(outcomes) ** (runs - len(sig)) for sig in signatures)
 
 
 def test_resolve_validates_bit_strings():

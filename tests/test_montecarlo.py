@@ -18,7 +18,14 @@ from qfnet.core import (
     run_pairing,
     worst_case_regions,
 )
-from qfnet.montecarlo import TrialReport, TrialSpec, _apportion, simulate, wilson_interval
+from qfnet.montecarlo import (
+    TrialReport,
+    TrialSpec,
+    _apportion,
+    _draw_counts,
+    simulate,
+    wilson_interval,
+)
 from qfnet.optics import region_click_matrix
 from conftest import DESK_SEED
 
@@ -234,6 +241,45 @@ def test_simulate_two_party_two_bit():
     # half the pulses accumulate in the counts
     stats = equal.per_detector_count_stats[0]
     assert stats["analytic_mean"][1] == pytest.approx(5000 * 5e-5, rel=1e-9)
+
+
+# --- stream contract ---------------------------------------------------------
+
+
+def _schedule_click(spec):
+    # the (runs, regions, N) click probabilities and pulse column simulate draws
+    mats = []
+    for run in spec.runs:
+        weights, probs = region_click_matrix(spec.rel, run, spec.ch, spec.pp)
+        mats.append(np.clip(probs + spec.ch.dark_count, 0.0, 1.0))
+    pulses = spec.runs[0].encoding.pulses(spec.pp.m)
+    return np.array(_apportion(weights, pulses), dtype=np.int64)[:, None], np.stack(mats)
+
+
+def test_trial_counts_come_from_the_trial_key(desk_setup):
+    pp, _, runs = desk_setup
+    rel = Relationship.from_label("ABCB")
+    spec = TrialSpec(rel=rel, pp=pp, ch=_LOSSY_CHANNEL, runs=runs, trials=20, seed=DESK_SEED)
+    n_col, click = _schedule_click(spec)
+    counts = _draw_counts(n_col, click, spec.seed, spec.trials)
+    assert counts.shape == (20, 3, 4) and counts.dtype == np.int64
+    for t in (0, 1, 7, 19):
+        rng = np.random.Generator(np.random.Philox(key=[spec.seed, t + 1]))
+        want = rng.binomial(n_col, click).sum(axis=1)
+        np.testing.assert_array_equal(counts[t], want)
+        # one draw over the schedule is the runs drawn one by one, in order:
+        # a run the referee skips comes after the ones it reads
+        rng = np.random.Generator(np.random.Philox(key=[spec.seed, t + 1]))
+        for r in range(3):
+            np.testing.assert_array_equal(counts[t, r], rng.binomial(n_col, click[r]).sum(axis=0))
+
+
+def test_trial_prefix_reproduces(desk_setup):
+    spec = desk_spec("AABC", desk_setup)
+    n_col, click = _schedule_click(spec)
+    full = _draw_counts(n_col, click, spec.seed, 1_000)
+    for k in (1, 37):
+        np.testing.assert_array_equal(full[:k], _draw_counts(n_col, click, spec.seed, k))
 
 
 # --- pinned output -----------------------------------------------------------
