@@ -301,6 +301,13 @@ _PINNED_FOUR_PARTY = {
     ("ABAB", "lossy"): "08e79900c8b7c6e37c718c69d8ea9933e576ac8b47a694ed8bbb68558fd30ed1",
     ("ABBA", "lossy"): "7fc279a10fa9c761e6a5e05b0d91146ccb847f54d95b12d5d6f1a2eda6dbb94f",
 }
+# Campaigns longer than one draw block: trials on both sides of every block
+# boundary feed the same statistics.  AABC has 7 three-run and 7 incorrect
+# trials; ABBA mixes 2 and 3 runs and is 36% inconsistent, 49% incorrect.
+_PINNED_MULTI_BLOCK = {
+    "AABC": "a976489ccab2d73eb93472ed49d17e9ca6654972a496569fa68beaf40c9531e2",
+    "ABBA": "ae61f6880f01397b3ebdde1914648f2ff70de71e156f5c9ab6d31934b6c8ed59",
+}
 _PINNED_TWO_PARTY = {
     ("AA", Encoding.SINGLE_BIT): "90d796011ac735c0019558ea4b26b06096a4c6ad8a7530e5a635ebc73bfce778",
     ("AA", Encoding.TWO_BIT): "3ea03e34b118a3e54ad2d255b3fa574605fa9fb78c5e64de3ec3080f8506f317",
@@ -322,6 +329,20 @@ def test_simulate_four_party_output_is_pinned(desk_setup, label, channel):
         rel=Relationship.from_label(label), pp=pp, ch=ch, runs=runs, trials=300, seed=DESK_SEED
     )
     assert _digest(simulate(spec)) == _PINNED_FOUR_PARTY[label, channel]
+
+
+@pytest.mark.parametrize("label", sorted(_PINNED_MULTI_BLOCK))
+def test_simulate_multi_block_output_is_pinned(desk_setup, label):
+    pp, _, runs = desk_setup
+    spec = TrialSpec(
+        rel=Relationship.from_label(label),
+        pp=pp,
+        ch=_LOSSY_CHANNEL,
+        runs=runs,
+        trials=2_500,
+        seed=DESK_SEED,
+    )
+    assert _digest(simulate(spec)) == _PINNED_MULTI_BLOCK[label]
 
 
 @pytest.mark.parametrize("label, encoding", sorted(_PINNED_TWO_PARTY))
