@@ -97,15 +97,32 @@ def _require(section: Mapping[str, Any], name: str, key: str) -> Any:
     return section[key]
 
 
+def _number(value: Any, field: str) -> float:
+    # JSON numbers only: bool is an int subclass and float() parses strings
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{field} is out of range, got {value!r}") from None
+
+
+def _integer(value: Any, field: str) -> int:
+    # integral numbers such as 500000.0 are accepted; 2.5 is not truncated
+    if not _number(value, field).is_integer():
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_protocol(doc: Mapping[str, Any]) -> ProtocolParams:
     sec = doc["protocol"]
     try:
         return ProtocolParams(
-            n=int(_require(sec, "protocol", "n")),
-            c=float(_require(sec, "protocol", "c")),
-            delta=float(_require(sec, "protocol", "delta")),
-            epsilon=float(_require(sec, "protocol", "epsilon")),
-            N=int(_require(sec, "protocol", "N")),
+            n=_integer(_require(sec, "protocol", "n"), "protocol.n"),
+            c=_number(_require(sec, "protocol", "c"), "protocol.c"),
+            delta=_number(_require(sec, "protocol", "delta"), "protocol.delta"),
+            epsilon=_number(_require(sec, "protocol", "epsilon"), "protocol.epsilon"),
+            N=_integer(_require(sec, "protocol", "N"), "protocol.N"),
         )
     except DomainError as exc:
         raise ConfigError(f"protocol: {exc}") from exc
@@ -115,16 +132,18 @@ def build_channel(doc: Mapping[str, Any], n_senders: int) -> ChannelModel:
     sec = doc["channel"]
     if ("sqrt_eta" in sec) == ("eta" in sec):
         raise ConfigError("channel: provide exactly one of 'sqrt_eta' or 'eta'")
-    dark = float(sec.get("dark_count", 0.0))
-    vis = float(sec.get("visibility", 1.0))
+    dark = _number(sec.get("dark_count", 0.0), "channel.dark_count")
+    vis = _number(sec.get("visibility", 1.0), "channel.visibility")
+    key = "sqrt_eta" if "sqrt_eta" in sec else "eta"
+    if not isinstance(sec[key], (list, tuple)):
+        raise ConfigError(f"channel.{key} must be a list of numbers, got {sec[key]!r}")
+    values = [_number(x, f"channel.{key}[{i}]") for i, x in enumerate(sec[key])]
     try:
-        if "sqrt_eta" in sec:
-            ch = ChannelModel.from_sqrt_eta(
-                [float(x) for x in sec["sqrt_eta"]], dark, vis
-            )
+        if key == "sqrt_eta":
+            ch = ChannelModel.from_sqrt_eta(values, dark, vis)
         else:
-            ch = ChannelModel(tuple(float(x) for x in sec["eta"]), dark, vis)
-    except (DomainError, TypeError) as exc:
+            ch = ChannelModel(tuple(values), dark, vis)
+    except DomainError as exc:
         raise ConfigError(f"channel: {exc}") from exc
     if ch.n_senders != n_senders:
         raise ConfigError(
@@ -151,7 +170,7 @@ def build_problem(doc: Mapping[str, Any], target: str) -> OptimizationProblem:
     bounds = opt.get("bounds", [1.0, 32768.0])
     if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
         raise ConfigError(f"optimizer.bounds must be [lo, hi], got {bounds!r}")
-    grid = float(opt.get("grid", 1e-3))
+    grid = _number(opt.get("grid", 1e-3), "optimizer.grid")
     runs = 1 if target == "ae" else None
     try:
         return OptimizationProblem(
@@ -159,7 +178,10 @@ def build_problem(doc: Mapping[str, Any], target: str) -> OptimizationProblem:
             ch=ch,
             encoding=enc,
             runs=runs,
-            bounds=(float(bounds[0]), float(bounds[1])),
+            bounds=(
+                _number(bounds[0], "optimizer.bounds[0]"),
+                _number(bounds[1], "optimizer.bounds[1]"),
+            ),
             grid=grid,
         )
     except DomainError as exc:
@@ -371,9 +393,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if "montecarlo" not in doc:
         raise ConfigError("missing required section 'montecarlo'")
     mc = doc["montecarlo"]
-    m = int(_require(mc, "montecarlo", "m"))
-    trials = int(_require(mc, "montecarlo", "trials"))
-    seed = int(_require(mc, "montecarlo", "seed"))
+    m = _integer(_require(mc, "montecarlo", "m"), "montecarlo.m")
+    trials = _integer(_require(mc, "montecarlo", "trials"), "montecarlo.trials")
+    seed = _integer(_require(mc, "montecarlo", "seed"), "montecarlo.seed")
     problem = build_problem(doc, "r")
     if m != problem.pp.m:
         raise ConfigError(

@@ -8,8 +8,8 @@ code provides.  Per trial, detector counts are binomial draws per
 (region, detector) cell from the kernel's click probabilities plus dark
 counts (independent detectors per pulse).  The referee reads the runs
 adaptively, exactly as decision.resolve_schedule does, and the resolved
-relationship is compared with the truth; each distinct outcome pattern is
-resolved once.
+relationship is compared with the truth; each distinct outcome pattern
+(packed into one integer code per trial) is resolved once.
 
 Randomness uses counter-based Philox streams keyed by (seed, trial), so any
 subset of trials can be reproduced independently and parallel execution
@@ -17,7 +17,9 @@ would draw identical numbers.  Each trial draws every scheduled run in one
 vectorized call, in schedule order, so the runs the referee skips come after
 the executed ones in the trial's stream and change none of their counts.
 The counts of a campaign are held as one int64 array: 8 * runs * N bytes per
-trial (96 B for four senders).
+trial (96 B for four senders).  One Philox generator serves the whole
+campaign, re-keyed per trial; the raw region cells are summed per block of
+trials.  Neither changes any trial's stream.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_BLOCK_TRIALS = 1024  # trials whose raw region cells are held at once
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -153,11 +156,27 @@ def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -
     click[run, region, detector] are the click probabilities and n_col the
     pulses per region (a column); trial t draws all cells in one call from
     Philox(key=[seed, t + 1]) and sums them over the regions.
+
+    A Philox stream is fixed by its key and counter, so one generator is
+    built per campaign and re-keyed per trial by restoring its fresh state
+    with the trial's key: the same stream as a new generator, without the
+    constructor's cost.  The raw cells of up to _BLOCK_TRIALS trials are
+    summed over the regions in one call per block.
     """
-    counts = np.empty((trials, click.shape[0], click.shape[2]), dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=[seed, trial + 1]))
-        counts[trial] = rng.binomial(n_col, click).sum(axis=1)
+    runs, regions, detectors = click.shape
+    counts = np.empty((trials, runs, detectors), dtype=np.int64)
+    raw = np.empty((min(trials, _BLOCK_TRIALS), runs, regions, detectors), dtype=np.int64)
+    bitgen = np.random.Philox(key=[seed, 1])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0, empty buffer
+    key = fresh["state"]["key"]
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = raw[: min(trials - start, _BLOCK_TRIALS)]
+        for i in range(len(block)):
+            key[1] = start + i + 1
+            bitgen.state = fresh
+            block[i] = rng.binomial(n_col, click)
+        block.sum(axis=2, out=counts[start : start + len(block)])
     return counts
 
 
@@ -171,15 +190,23 @@ def simulate(spec: TrialSpec) -> TrialReport:
     analytic_means = n_col[:, 0] @ click
 
     counts = _draw_counts(n_col, click, spec.seed, spec.trials)
-    observed = list(observed_detectors(spec.pp.N))
-    bits = outcome_bits(counts[..., observed], [run.thresholds for run in spec.runs])
-    patterns, inverse = np.unique(bits, axis=0, return_inverse=True)
-    verdicts = [resolve_schedule(spec.pp.N, pattern) for pattern in patterns]
-    runs_used = np.array([k for _, k in verdicts])[inverse.ravel()]
+    observed = observed_detectors(spec.pp.N)  # the contiguous difference ports
+    bits = outcome_bits(
+        counts[..., observed[0] : observed[-1] + 1], [run.thresholds for run in spec.runs]
+    )
+    # one integer code per trial's outcome pattern; each distinct one resolves once
+    flat = bits.reshape(spec.trials, -1)
+    _, first, inverse = np.unique(
+        flat @ (1 << np.arange(flat.shape[1], dtype=np.int64)),
+        return_index=True,
+        return_inverse=True,
+    )
+    verdicts = [resolve_schedule(spec.pp.N, bits[i]) for i in first]
+    runs_used = np.array([k for _, k in verdicts])[inverse]
     # 0 correct, 1 incorrect, 2 inconsistent
     grade = np.array([2 if d is None else int(d.relationship != spec.rel) for d, _ in verdicts])
     n_correct, n_incorrect, n_inconsistent = (
-        int(c) for c in np.bincount(grade[inverse.ravel()], minlength=3)
+        int(c) for c in np.bincount(grade[inverse], minlength=3)
     )
 
     stats = []

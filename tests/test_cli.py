@@ -207,6 +207,54 @@ def test_main_simulate_validates_relationship_and_m(tmp_path, desk_config, capsy
     assert main(["simulate", write_doc(tmp_path, doc), "--relationship", "AABC"]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("montecarlo", "trials", 2.5),  # would truncate to 2 trials
+        ("montecarlo", "trials", True),  # would run 1 trial
+        ("montecarlo", "trials", "ten"),
+        ("montecarlo", "trials", "40"),
+        ("montecarlo", "seed", 1.5),
+        ("montecarlo", "seed", None),
+        ("montecarlo", "m", False),
+        ("protocol", "n", 50_000.5),
+        ("protocol", "n", "50000"),
+        ("protocol", "n", 10**400),  # beyond the float range
+        ("protocol", "n", float("inf")),
+        ("protocol", "N", True),
+        ("protocol", "c", "0.2"),
+        ("protocol", "delta", True),
+        ("protocol", "epsilon", "tiny"),
+        ("channel", "dark_count", "5e-5"),
+        ("channel", "dark_count", 10**400),
+        ("channel", "visibility", [1.0]),
+        ("channel", "eta", [1.0, "1.0", 1.0, 1.0]),
+        ("channel", "eta", "1.0"),
+        ("optimizer", "grid", "fine"),
+        ("optimizer", "bounds", [1.0, "big"]),
+    ],
+)
+def test_main_simulate_rejects_non_numeric_fields(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(DESK_DOC))
+    doc.setdefault(section, {})[key] = value
+    assert main(["simulate", write_doc(tmp_path, doc), "--relationship", "AABC"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{section}.{key}" in err
+
+
+def test_main_simulate_accepts_integral_floats(tmp_path):
+    doc = json.loads(json.dumps(DESK_DOC))
+    doc["protocol"].update(n=50_000.0, N=4.0)
+    doc["montecarlo"].update(m=10_000.0, trials=40.0, seed=20250819.0)
+    out_float, out_int = tmp_path / "float.json", tmp_path / "int.json"
+    argv = ["--relationship", "AABC", "--out"]
+    assert main(["simulate", write_doc(tmp_path, doc), *argv, str(out_float)]) == 0
+    assert main(["simulate", write_doc(tmp_path, DESK_DOC, "int.json"), *argv, str(out_int)]) == 0
+    report = json.loads(out_float.read_text())["report"]
+    assert report["trials"] == 40
+    assert report == json.loads(out_int.read_text())["report"]
+
+
 # --- table exports -----------------------------------------------------------
 
 

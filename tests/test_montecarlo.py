@@ -19,6 +19,7 @@ from qfnet.core import (
     worst_case_regions,
 )
 from qfnet.montecarlo import (
+    _BLOCK_TRIALS,
     TrialReport,
     TrialSpec,
     _apportion,
@@ -259,11 +260,13 @@ def _schedule_click(spec):
 def test_trial_counts_come_from_the_trial_key(desk_setup):
     pp, _, runs = desk_setup
     rel = Relationship.from_label("ABCB")
-    spec = TrialSpec(rel=rel, pp=pp, ch=_LOSSY_CHANNEL, runs=runs, trials=20, seed=DESK_SEED)
+    trials = _BLOCK_TRIALS + 300  # a full block and a partial one
+    spec = TrialSpec(rel=rel, pp=pp, ch=_LOSSY_CHANNEL, runs=runs, trials=trials, seed=DESK_SEED)
     n_col, click = _schedule_click(spec)
     counts = _draw_counts(n_col, click, spec.seed, spec.trials)
-    assert counts.shape == (20, 3, 4) and counts.dtype == np.int64
-    for t in (0, 1, 7, 19):
+    assert counts.shape == (trials, 3, 4) and counts.dtype == np.int64
+    # both sides of the block boundary, and the last trial of the short block
+    for t in (0, 1, 7, _BLOCK_TRIALS - 1, _BLOCK_TRIALS, trials - 1):
         rng = np.random.Generator(np.random.Philox(key=[spec.seed, t + 1]))
         want = rng.binomial(n_col, click).sum(axis=1)
         np.testing.assert_array_equal(counts[t], want)
@@ -272,6 +275,22 @@ def test_trial_counts_come_from_the_trial_key(desk_setup):
         rng = np.random.Generator(np.random.Philox(key=[spec.seed, t + 1]))
         for r in range(3):
             np.testing.assert_array_equal(counts[t, r], rng.binomial(n_col, click[r]).sum(axis=0))
+
+
+@pytest.mark.parametrize("trials", [300, 2_500])
+def test_campaign_builds_one_bit_generator(desk_setup, monkeypatch, trials):
+    # the generator is re-keyed per trial, not rebuilt: a Philox costs ~20 us
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    report = simulate(desk_spec("ABCD", desk_setup, trials=trials))
+    assert report.trials == trials
+    assert len(built) == 1
 
 
 def test_trial_prefix_reproduces(desk_setup):
