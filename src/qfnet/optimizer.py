@@ -2,10 +2,13 @@
 
 Per run the search minimizes sum_k alpha_k**2 * log2(n) subject to the
 worst-case decision error over the observed detectors staying below epsilon,
-with thresholds delegated to stats.best_threshold.  A geometric ladder finds
-the first feasible scale along an amplitude ray and a log-bisection narrows
-the bracket below it; asymmetric channels then get a per-coordinate descent
-that walks each amplitude down while feasibility holds.
+with thresholds re-selected by stats.best_threshold at every candidate point.
+That search is bracketed between the two count means, so a detector costs
+about 15-24 tail evaluations where one over the whole count range takes
+40-94.  A geometric ladder finds the first feasible scale along an amplitude
+ray and a log-bisection narrows the bracket below it; asymmetric channels
+then get a per-coordinate descent that walks each amplitude down while
+feasibility holds.
 
 The error trends down along a ray (more photons separate the hypotheses
 better) but is not monotone: the integer threshold lattice makes it step up

@@ -2,8 +2,7 @@
 
 A detector's codeword count is the number of pulses that produced a click:
 Binomial(pulses, p) exactly, with a Poisson approximation (lambda =
-pulses * p) for pulse counts too large for exact evaluation and a
-continuity-corrected Gaussian kept for cross-checks.
+pulses * p) for pulse counts too large for exact evaluation.
 
 The tails are public scipy.special ufuncs, called directly rather than
 through scipy.stats distributions, which cost ~30x more per call and
@@ -13,7 +12,6 @@ dominate the import time:
               incomplete beta, the routine binom.sf uses)
               P(C < t) = betaincc(t, pulses - t + 1, p)
     Poisson   P(C > t) = pdtrc(t, mean),  P(C < t) = pdtr(t - 1, mean)
-    Gaussian  ndtr of the continuity-corrected z-score
 
 Error conventions: under the Equal hypothesis an error is a count *strictly
 above* the reported tail point (tail_above), under Different a count
@@ -29,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.special import betainc, betaincc, ndtr, pdtr, pdtrc
+from scipy.special import betainc, betaincc, pdtr, pdtrc
 
 from .core import DomainError
 from .probmodel import ClickProfile
@@ -37,7 +35,6 @@ from .probmodel import ClickProfile
 __all__ = [
     "LAW_BINOMIAL",
     "LAW_POISSON",
-    "LAW_GAUSSIAN",
     "BINOMIAL_PULSE_LIMIT",
     "CountModel",
     "ThresholdChoice",
@@ -49,7 +46,6 @@ __all__ = [
 
 LAW_BINOMIAL = "binomial-exact"
 LAW_POISSON = "poisson-approx"
-LAW_GAUSSIAN = "gaussian-approx"
 
 # Above this many pulses the exact binomial tails are replaced by Poisson.
 BINOMIAL_PULSE_LIMIT = 1_000_000
@@ -73,7 +69,7 @@ class CountModel:
             raise DomainError(f"pulses must be >= 1, got {self.pulses}")
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.law not in (LAW_BINOMIAL, LAW_POISSON, LAW_GAUSSIAN):
+        if self.law not in (LAW_BINOMIAL, LAW_POISSON):
             raise DomainError(f"unknown law {self.law!r}")
 
     @classmethod
@@ -102,12 +98,7 @@ def tail_above(model: CountModel, t: int) -> float:
             # betainc(pulses + 1, 0, 1.0) is 1.0, not the empty tail's 0
             return 0.0
         return float(betainc(t + 1, model.pulses - t, model.p))
-    if model.law == LAW_POISSON:
-        return float(pdtrc(t, model.mean))
-    sd = math.sqrt(model.pulses * model.p * (1.0 - model.p))
-    if sd == 0.0:
-        return float(model.mean > t)
-    return float(ndtr(-(t + 0.5 - model.mean) / sd))
+    return float(pdtrc(t, model.mean))
 
 
 def tail_below(model: CountModel, t: int) -> float:
@@ -117,12 +108,7 @@ def tail_below(model: CountModel, t: int) -> float:
         return 0.0
     if model.law == LAW_BINOMIAL:
         return float(betaincc(t, model.pulses - t + 1, model.p))
-    if model.law == LAW_POISSON:
-        return float(pdtr(t - 1, model.mean))
-    sd = math.sqrt(model.pulses * model.p * (1.0 - model.p))
-    if sd == 0.0:
-        return float(model.mean < t)
-    return float(ndtr((t - 0.5 - model.mean) / sd))
+    return float(pdtr(t - 1, model.mean))
 
 
 def _decision_errors(equal: CountModel, different: CountModel, t: int) -> tuple[float, float]:
@@ -186,10 +172,19 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
     """Integer threshold minimizing max(P_equal(C >= t), P_different(C < t)).
 
     P_equal(C >= t) is nonincreasing in t and P_different(C < t) is
-    nondecreasing, so the minimizer sits where they cross; a binary search
-    finds it without scanning the count range.  Ties go to the smaller
-    threshold.  When the two models have equal means no threshold separates
-    them; the rounded midpoint is returned with ``degenerate=True``.
+    nondecreasing, so the minimizer sits where they cross: the smallest t at
+    which the Different error reaches the Equal one.  A binary search finds
+    it, starting from the bracket [floor(low mean), ceil(high mean) + 1].
+    Binomial and Poisson medians lie in [floor(mean), ceil(mean)], so at the
+    bracket's low end the Equal error is at least 1/2 and the Different
+    error at most 1/2, and the reverse holds at its high end: the crossing
+    lies inside.  An end that is already past the crossing widens to 0 or
+    ``pulses``, so the search returns the same t as one over the whole
+    count range, in a quarter of the tail evaluations at 10^13 pulses.
+    Evaluated points are kept, and the final look at the crossing and its
+    two neighbours reuses them.  Ties go to the smaller threshold.  When
+    the two models have equal means no threshold separates them; the
+    rounded midpoint is returned with ``degenerate=True``.
     """
     if equal.pulses != different.pulses:
         raise DomainError(
@@ -201,11 +196,25 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
         e_eq, e_df = _decision_errors(equal, different, t)
         return ThresholdChoice(t, max(e_eq, e_df), degenerate=True)
 
+    pulses = equal.pulses
+    errors: dict[int, tuple[float, float]] = {}
+
+    def errors_at(t: int) -> tuple[float, float]:
+        if t not in errors:
+            errors[t] = _decision_errors(equal, different, t)
+        return errors[t]
+
     def diff_dominates(t: int) -> bool:
-        e_eq, e_df = _decision_errors(equal, different, t)
+        e_eq, e_df = errors_at(t)
         return e_df >= e_eq
 
-    lo, hi = 0, equal.pulses
+    low_mean, high_mean = sorted((equal.mean, different.mean))
+    lo = min(max(math.floor(low_mean), 0), pulses)
+    hi = min(math.ceil(high_mean) + 1, pulses)
+    if diff_dominates(lo):
+        lo = 0
+    if not diff_dominates(hi):
+        hi = pulses
     if not diff_dominates(hi):
         cross = hi
     elif diff_dominates(lo):
@@ -221,10 +230,9 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
         cross = hi
     best_t, best_err = None, math.inf
     for t in (cross - 1, cross, cross + 1):
-        if t < 0 or t > equal.pulses:
+        if t < 0 or t > pulses:
             continue
-        e_eq, e_df = _decision_errors(equal, different, t)
-        err = max(e_eq, e_df)
+        err = max(errors_at(t))
         if err < best_err:
             best_t, best_err = t, err
     assert best_t is not None

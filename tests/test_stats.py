@@ -3,11 +3,12 @@
 The binomial oracle sums probability mass with Fraction arithmetic (no
 floating point at all); the Poisson oracle sums the series with fsum.  The
 library evaluates the tails with scipy.special's betainc/betaincc
-(binomial), pdtrc/pdtr (Poisson) and ndtr (Gaussian) and must agree to near
-machine precision.  A parity check pins those ufuncs to the scipy.stats
+(binomial) and pdtrc/pdtr (Poisson) and must agree to near machine
+precision.  A parity check pins those ufuncs to the scipy.stats
 distributions they replace.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from qfnet import stats
+from qfnet.benchmarks import BENCHMARKS
 from qfnet.core import DomainError
-from qfnet.probmodel import ClickProfile
+from qfnet.probmodel import ClickProfile, four_party_asymmetric, two_party_asymmetric
 from qfnet.stats import (
     BINOMIAL_PULSE_LIMIT,
     LAW_BINOMIAL,
-    LAW_GAUSSIAN,
     LAW_POISSON,
     CountModel,
     best_threshold,
@@ -137,14 +139,6 @@ def test_poisson_approximates_binomial_at_scale():
         assert tail_below(approx, t) == pytest.approx(tail_below(exact, t), rel=1e-3)
 
 
-def test_gaussian_cross_check_is_close():
-    model_b = CountModel(10**4, 0.3, LAW_BINOMIAL)
-    model_g = CountModel(10**4, 0.3, LAW_GAUSSIAN)
-    mean, sd = 3000, math.sqrt(10**4 * 0.3 * 0.7)
-    for t in (int(mean - 2 * sd), int(mean + 2 * sd)):
-        assert tail_above(model_g, t) == pytest.approx(tail_above(model_b, t), rel=0.05)
-
-
 def test_tail_numeric_edges():
     # p = 1: every pulse clicks, so C = pulses surely
     sure = CountModel(10, 1.0, LAW_BINOMIAL)
@@ -159,12 +153,6 @@ def test_tail_numeric_edges():
     dark = CountModel(10**9, 0.0, LAW_POISSON)
     assert [tail_above(dark, t) for t in (0, 7)] == [0.0, 0.0]
     assert [tail_below(dark, t) for t in (0, 1, 7)] == [0.0, 1.0, 1.0]
-    # Gaussian sd = 0 (p at either end) degenerates to a point mass
-    for p, mass_at in ((0.0, 0), (1.0, 50)):
-        point = CountModel(50, p, LAW_GAUSSIAN)
-        for t in (0, 25, 50):
-            assert tail_above(point, t) == float(mass_at > t)
-            assert tail_below(point, t) == float(mass_at < t)
     # both sides of the binomial-to-Poisson switch agree in the bulk
     mean = 20.0
     at_limit = CountModel.auto(BINOMIAL_PULSE_LIMIT, mean / BINOMIAL_PULSE_LIMIT)
@@ -183,7 +171,7 @@ def _grid_points(pulses, mean, sd):
 
 
 def test_tails_match_scipy_stats():
-    # Binomial P(C > t), Poisson and Gaussian tails are the very ufuncs
+    # Binomial P(C > t) and the Poisson tails are the very ufuncs
     # scipy.stats calls, so they agree bit for bit.  Binomial P(C < t) uses
     # betaincc where binom.cdf uses a different Boost entry point; the two
     # agree to 1e-10 relative (subnormal results carry no relative
@@ -191,20 +179,13 @@ def test_tails_match_scipy_stats():
     for pulses in (1, 7, 250, 5_000, 100_000, BINOMIAL_PULSE_LIMIT):
         for p in (0.0, 1e-6, 0.013, 0.3, 0.5, 0.97, 1.0):
             model = CountModel(pulses, p, LAW_BINOMIAL)
-            gauss = CountModel(pulses, p, LAW_GAUSSIAN)
             sd = math.sqrt(pulses * p * (1.0 - p))
             for t in _grid_points(pulses, model.mean, sd):
                 assert tail_above(model, t) == sps.binom.sf(t, pulses, p)
-                if sd > 0.0:
-                    assert tail_above(gauss, t) == sps.norm.sf((t + 0.5 - gauss.mean) / sd)
                 if t > 0:
                     assert tail_below(model, t) == pytest.approx(
                         sps.binom.cdf(t - 1, pulses, p), rel=1e-10, abs=1e-300
                     )
-                    if sd > 0.0:
-                        assert tail_below(gauss, t) == sps.norm.cdf(
-                            (t - 0.5 - gauss.mean) / sd
-                        )
     for mean in (0.0, 1e-3, 5.0, 238.0, 1e4, 1e7, 1e12):
         model = CountModel(10**13, mean / 10**13, LAW_POISSON)
         for t in _grid_points(10**13, model.mean, math.sqrt(model.mean)):
@@ -226,6 +207,8 @@ def test_count_model_validation():
         CountModel(10, 1.5)
     with pytest.raises(DomainError):
         CountModel(10, 0.5, "weibull")
+    with pytest.raises(DomainError):
+        CountModel(10, 0.5, "gaussian-approx")
     with pytest.raises(DomainError):
         tail_above(CountModel(10, 0.5), 11)
     with pytest.raises(DomainError):
@@ -300,6 +283,168 @@ def test_best_threshold_matches_exhaustive_scan(pulses, p_eq, gap):
     want_t, want_err = scan_best(equal, different, pulses)
     assert choice.threshold == want_t
     assert choice.p_e == pytest.approx(want_err, rel=1e-12, abs=1e-15)
+
+
+def full_range_threshold(equal, different):
+    """Reference search: bisection over the whole count range [0, pulses].
+
+    No bracket and no reuse of evaluated points; every tail goes through the
+    module attributes, so a test that substitutes them changes both searches.
+    """
+
+    def errors(t):
+        e_eq = 1.0 if t <= 0 else stats.tail_above(equal, t - 1)
+        e_df = 0.0 if t <= 0 else stats.tail_below(different, t)
+        return e_eq, e_df
+
+    def diff_dominates(t):
+        e_eq, e_df = errors(t)
+        return e_df >= e_eq
+
+    if math.isclose(equal.mean, different.mean, rel_tol=1e-12, abs_tol=1e-12):
+        t = min(max(int(round(equal.mean)), 0), equal.pulses)
+        return t, max(errors(t)), True
+    lo, hi = 0, equal.pulses
+    if not diff_dominates(hi):
+        cross = hi
+    elif diff_dominates(lo):
+        cross = lo
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if diff_dominates(mid):
+                hi = mid
+            else:
+                lo = mid
+        cross = hi
+    best_t, best_err = None, math.inf
+    for t in (cross - 1, cross, cross + 1):
+        if 0 <= t <= equal.pulses and max(errors(t)) < best_err:
+            best_t, best_err = t, max(errors(t))
+    return best_t, best_err, False
+
+
+def assert_same_as_full_range(equal, different):
+    choice = best_threshold(equal, different)
+    want_t, want_err, want_degenerate = full_range_threshold(equal, different)
+    assert (choice.threshold, choice.degenerate) == (want_t, want_degenerate)
+    # bit for bit, not approximately
+    assert choice.p_e == want_err
+    return choice
+
+
+@st.composite
+def count_model_pairs(draw):
+    """Binomial up to the law switch or Poisson beyond it, either mean larger.
+
+    Click probabilities mix the exact ends 0 and 1, the whole unit interval,
+    and means of up to 2000 counts, where the bundled and desk instances sit.
+    """
+    if draw(st.booleans()):
+        pulses = draw(st.integers(1, BINOMIAL_PULSE_LIMIT))
+    else:
+        pulses = draw(st.integers(BINOMIAL_PULSE_LIMIT + 1, 10**14))
+    probability = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2000.0).map(lambda mean: min(1.0, mean / pulses)),
+    )
+    return CountModel.auto(pulses, draw(probability)), CountModel.auto(pulses, draw(probability))
+
+
+@settings(deadline=None, max_examples=300)
+@given(count_model_pairs())
+def test_best_threshold_equals_full_range_bisection(models):
+    assert_same_as_full_range(*models)
+
+
+@pytest.mark.parametrize(
+    "p_eq, p_df",
+    [(0.0, 1.0), (1.0, 0.0), (0.3, 0.7), (0.7, 0.3), (0.0, 0.5), (1.0, 0.5), (0.5, 0.5)],
+)
+def test_best_threshold_single_pulse_equals_full_range(p_eq, p_df):
+    assert_same_as_full_range(CountModel(1, p_eq), CountModel(1, p_df))
+
+
+@pytest.mark.parametrize(
+    "means, masses, want",
+    [
+        # the crossing lies far above both means: the top end widens to pulses
+        ((10, 20), (900, 950), 901),
+        # the crossing lies far below both means: the bottom end widens to 0
+        ((500, 600), (2, 3), 3),
+    ],
+    ids=["crossing-above-means", "crossing-below-means"],
+)
+def test_best_threshold_widens_bracket_when_crossing_lies_outside(monkeypatch, means, masses, want):
+    # Binomial and Poisson counts cross between their means, so the widening
+    # needs tails that do not: point masses placed away from the means.
+    pulses = 1000
+    equal = CountModel(pulses, means[0] / pulses)
+    different = CountModel(pulses, means[1] / pulses)
+    mass_at = {equal.p: masses[0], different.p: masses[1]}
+    monkeypatch.setattr(stats, "tail_above", lambda model, t: float(mass_at[model.p] > t))
+    monkeypatch.setattr(stats, "tail_below", lambda model, t: float(mass_at[model.p] < t))
+    choice = assert_same_as_full_range(equal, different)
+    assert (choice.threshold, choice.p_e) == (want, 0.0)
+
+
+@pytest.mark.parametrize(
+    "pulses, means",
+    [(10**13, (76.0, 426.0)), (10**5, (5.0, 300.0))],
+)
+def test_best_threshold_tail_budget(monkeypatch, pulses, means):
+    # The search over the full range needs 94 (Poisson, 10^13 pulses) and 40
+    # (binomial, 10^5 pulses) tail evaluations here.
+    calls = []
+    for name in ("tail_above", "tail_below"):
+        tail = getattr(stats, name)
+
+        def counted(model, t, tail=tail):
+            calls.append(t)
+            return tail(model, t)
+
+        monkeypatch.setattr(stats, name, counted)
+    equal, different = (CountModel.auto(pulses, mean / pulses) for mean in means)
+    best_threshold(equal, different)
+    assert 0 < len(calls) <= 30
+
+
+def test_published_thresholds_under_code_rate_convention():
+    """Read the published c as a code rate (m = n/c) and re-select thresholds.
+
+    Under that convention 18 of the 21 published per-run detector thresholds
+    are best_threshold's to within one count.  The exceptions are T_asym4's
+    detector 3 (the middle observed detector) in every run, published as
+    5700/5600/5600 where the model's single-flip Different hypothesis puts
+    the best threshold at 5116/5090/5071.  Each count here is Poisson over
+    7.5e12 to 5e14 pulses.
+    """
+    matched, misses = 0, []
+    for table_id, bench in BENCHMARKS.items():
+        pp = dataclasses.replace(bench.pp, c=1 / bench.pp.c)
+        for run_index, rc in enumerate(bench.runs, start=1):
+            if pp.N == 2:
+                equal, different = two_party_asymmetric(rc.alphas, bench.ch, pp, bench.encoding)
+            else:
+                equal, different = four_party_asymmetric(run_index, rc, bench.ch, pp)
+            assert equal.pulses > BINOMIAL_PULSE_LIMIT
+            for detector, (p_eq, p_df, published) in enumerate(
+                zip(equal.per_detector, different.per_detector, rc.thresholds), start=2
+            ):
+                choice = best_threshold(
+                    CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df)
+                )
+                if abs(choice.threshold - published) <= 1:
+                    matched += 1
+                else:
+                    misses.append((table_id, run_index, detector, published, choice.threshold))
+    assert matched == 18
+    assert misses == [
+        ("T_asym4", 1, 3, 5700, 5116),
+        ("T_asym4", 2, 3, 5600, 5090),
+        ("T_asym4", 3, 3, 5600, 5071),
+    ]
 
 
 # --- protocol error over runs ------------------------------------------------
