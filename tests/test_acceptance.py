@@ -39,7 +39,12 @@ from qfnet.decision import (
 from qfnet.montecarlo import TrialSpec, simulate
 from qfnet.optics import oracle_click_profile
 from qfnet.optimizer import OptimizationProblem, evaluate_fixed, optimize
-from qfnet.probmodel import four_party_equal_diff, four_party_symmetric, two_party_asymmetric
+from qfnet.probmodel import (
+    four_party_asymmetric,
+    four_party_equal_diff,
+    four_party_symmetric,
+    two_party_asymmetric,
+)
 
 from conftest import DESK_SEED, desk_mu
 
@@ -216,14 +221,65 @@ def test_criterion_4_closed_forms_match_oracle():
                 oracle = oracle_click_profile(rel, run, ch, pp)
                 worst = max(worst, abs(closed.per_detector[0] - oracle.per_detector[1]))
 
+    # The per-run Equal/Different model every four-party optimization uses,
+    # on asymmetric channels and amplitudes: each hypothesis is the
+    # relationship it stands for at the ports of run (i, j, k, l).
+    all_equal = Relationship.from_label("AAAA")
+    for run_index in (1, 2, 3):
+        pairing = run_pairing(run_index)
+        _, j, _, l = pairing
+        for _ in range(100):
+            pp = ProtocolParams(
+                n=int(rng.integers(1_000, 50_001)),
+                c=float(rng.uniform(0.1, 0.3)),
+                delta=float(rng.uniform(0.05, 0.57)),
+                epsilon=1e-3,
+                N=4,
+            )
+            ch = ChannelModel(
+                eta=tuple(float(e) for e in rng.uniform(0.05, 1.0, 4)),
+                dark_count=float(rng.uniform(0.0, 1e-3)),
+                visibility=float(rng.uniform(0.9, 1.0)),
+            )
+            run = RunConfig(
+                alphas=tuple(float(a) for a in rng.uniform(0.0, 60.0, 4)),
+                pairing=pairing,
+                thresholds=(1, 1, 1),
+                encoding=Encoding.SINGLE_BIT,
+            )
+            equal, different = four_party_asymmetric(run_index, run, ch, pp)
+            bi, bj, bk, bl = (ch.sqrt_eta[s - 1] * run.alphas[s - 1] for s in pairing)
+            # Detector 3's Different hypothesis splits off the sender whose
+            # sign flip leaves the smallest |(b_i + b_j) - (b_k + b_l)|.
+            flipped = (
+                -bi + bj - bk - bl,
+                bi - bj - bk - bl,
+                bi + bj + bk - bl,
+                bi + bj - bk + bl,
+            )
+            flip3 = min(range(4), key=lambda p: abs(flipped[p]))
+            cases = [(equal, d, all_equal) for d in (0, 1, 2)] + [
+                (different, 0, _split_off(j)),
+                (different, 1, _split_off(pairing[flip3])),
+                (different, 2, _split_off(l)),
+            ]
+            for closed, d, rel in cases:
+                oracle = oracle_click_profile(rel, run, ch, pp)
+                worst = max(worst, abs(closed.per_detector[d] - oracle.per_detector[d + 1]))
+
     elapsed = time.perf_counter() - t0
     _report(
         4,
         worst <= 1e-10 and elapsed < 10.0,
-        f"15 four-party + 2 two-party relationships x 100 random draws: "
-        f"closed forms match pattern enumeration to {worst:.2e} absolute; "
-        f"{elapsed:.2f} s",
+        f"15 four-party + 2 two-party relationships x 100 random draws, and "
+        f"the asymmetric four-party Equal/Different model x 3 runs x 100 "
+        f"draws: closed forms match pattern enumeration to {worst:.2e} "
+        f"absolute; {elapsed:.2f} s",
     )
+
+
+def _split_off(sender: int) -> Relationship:
+    return Relationship.from_groups([[sender], [s for s in range(1, 5) if s != sender]])
 
 
 # --- 5: decision table round trip and published rows --------------------------
