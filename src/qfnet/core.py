@@ -79,7 +79,7 @@ class ProtocolParams:
                 f"expansion factor c = {self.c} <= 1: codewords are shorter than "
                 "messages, which no distance-preserving code achieves",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -167,6 +167,5 @@ def oracle_click_profile(
     probs = np.clip(np.array(weights) @ probs + channel.dark_count, 0.0, 1.0)
     return ClickProfile(
         per_detector=tuple(float(p) for p in probs),
-        condition=f"rel:{rel.canonical_label}",
         pulses=run.encoding.pulses(protocol.m),
     )

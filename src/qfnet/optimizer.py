@@ -120,10 +120,7 @@ def _run_profiles(
 ) -> tuple[ClickProfile, ClickProfile]:
     if problem.pp.N == 2:
         return two_party_asymmetric(alphas, problem.ch, problem.pp, problem.encoding)
-    rc = RunConfig(
-        tuple(alphas), run_pairing(run_index, 4), (0, 0, 0), problem.encoding
-    )
-    return four_party_asymmetric(run_index, rc, problem.ch, problem.pp)
+    return four_party_asymmetric(run_index, alphas, problem.ch, problem.pp)
 
 
 def _pe_thresholds(

@@ -25,10 +25,8 @@ from .core import (
     ChannelModel,
     DomainError,
     Encoding,
-    PatternFractions,
     ProtocolParams,
     Relationship,
-    RunConfig,
     relationship_profile,
     run_pairing,
 )
@@ -36,33 +34,24 @@ from .core import (
 __all__ = [
     "ClickProfile",
     "ClickTerm",
-    "CONDITION_EQUAL",
-    "CONDITION_DIFFERENT",
     "apply_visibility",
     "four_party_symmetric",
-    "four_party_equal_diff",
     "two_party_asymmetric",
     "four_party_asymmetric",
 ]
 
-CONDITION_EQUAL = "equal"
-CONDITION_DIFFERENT = "different"
-
 
 @dataclass(frozen=True)
 class ClickProfile:
-    """Per-pulse click probability of each detector under one condition.
+    """Per-pulse click probability of each detector under one hypothesis.
 
-    per_detector  probabilities indexed by detector (all tree outputs for the
-                  symmetric four-party model; observed detectors only for the
-                  Equal/Different pair models)
-    condition     label of the modeled condition ("equal", "different",
-                  "rel:<label>")
+    per_detector  probabilities indexed by detector (all tree outputs for a
+                  relationship; observed detectors only for the Equal/Different
+                  pair models)
     pulses        pulses per codeword the counts are accumulated over
     """
 
     per_detector: tuple[float, ...]
-    condition: str
     pulses: int
 
     def __post_init__(self) -> None:
@@ -92,7 +81,6 @@ def apply_visibility(
     dark_count: float,
     visibility: float,
     pulses: int,
-    condition: str,
 ) -> ClickProfile:
     """Collapse per-detector term tables into a ClickProfile.
 
@@ -119,7 +107,7 @@ def apply_visibility(
                 + (1.0 - visibility) * -math.expm1(-t.complement)
             )
         probs.append(min(1.0, max(0.0, p + dark_count)))
-    return ClickProfile(tuple(probs), condition, pulses)
+    return ClickProfile(tuple(probs), pulses)
 
 
 def _check_four_party(channel: ChannelModel, protocol: ProtocolParams) -> None:
@@ -180,54 +168,36 @@ def four_party_symmetric(
         ClickTerm(1.0 - fr.d34, 0.0, 2 * e1),
     ]
     return apply_visibility(
-        [d1, d2, d3, d4],
-        channel.dark_count,
-        channel.visibility,
-        protocol.m,
-        f"rel:{rel.canonical_label}",
+        [d1, d2, d3, d4], channel.dark_count, channel.visibility, protocol.m
     )
 
 
-def four_party_equal_diff(
-    mu: float, channel: ChannelModel, protocol: ProtocolParams
-) -> tuple[ClickProfile, ClickProfile]:
-    """Observed detectors under the Equal vs. Different pair hypotheses.
+def _attenuated(
+    alphas: Sequence[float], channel: ChannelModel, order: Sequence[int]
+) -> list[float]:
+    """Attenuated amplitudes sqrt(eta_s)*alpha_s of the senders in port order."""
+    if len(alphas) != channel.n_senders:
+        raise DomainError(f"need {channel.n_senders} amplitudes, got {len(alphas)}")
+    for a in alphas:
+        if not (float(a) >= 0.0 and math.isfinite(float(a))):
+            raise DomainError(f"amplitudes must be finite and >= 0, got {a!r}")
+    sqrt_eta = channel.sqrt_eta
+    return [sqrt_eta[s - 1] * float(alphas[s - 1]) for s in order]
 
-    The decision at each observed detector compares the sender pair it
-    watches (detector 2: ports 1,2; detector 4: ports 3,4; detector 3: the
-    two pairs).  "Equal" means the compared senders hold the same codeword;
-    "Different" means they differ on a fraction delta of positions.  Equal
-    channels, mean photon number mu per sender.
 
-    With visibility 1 this reduces to
+def _pair_terms(
+    ba: float, bb: float, delta: float, m: int
+) -> tuple[list[ClickTerm], list[ClickTerm]]:
+    """Equal/Different terms of a difference port fed by two senders.
 
-        P_equal     = P_dark                       (all observed detectors)
-        P_different = delta*(1 - exp(-2*eta*mu/m)) + P_dark   (detectors 2, 4)
-        P_different = delta*(1 - exp(-eta*mu/m))   + P_dark   (detector 3)
+    Equal sees (ba - bb)**2/(2m) with complement (ba + bb)**2/(2m); Different
+    swaps the two on a fraction delta of positions.
     """
-    _check_four_party(channel, protocol)
-    if not channel.symmetric():
-        raise DomainError("channel transmissions differ: use four_party_asymmetric")
-    if not (mu >= 0.0 and math.isfinite(mu)):
-        raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
-    delta = protocol.delta
-    e1 = channel.eta[0] * mu / protocol.m
-    eq = [
-        [ClickTerm(1.0, 0.0, 2 * e1)],
-        [ClickTerm(1.0, 0.0, 4 * e1)],
-        [ClickTerm(1.0, 0.0, 2 * e1)],
-    ]
-    pair_term = [ClickTerm(delta, 2 * e1, 0.0), ClickTerm(1.0 - delta, 0.0, 2 * e1)]
-    diff = [
-        pair_term,
-        [ClickTerm(delta, e1, e1), ClickTerm(1.0 - delta, 0.0, 4 * e1)],
-        pair_term,
-    ]
-    args = (channel.dark_count, channel.visibility, protocol.m)
-    return (
-        apply_visibility(eq, *args, CONDITION_EQUAL),
-        apply_visibility(diff, *args, CONDITION_DIFFERENT),
-    )
+    i_diff = (ba - bb) ** 2 / (2 * m)
+    i_sum = (ba + bb) ** 2 / (2 * m)
+    eq = [ClickTerm(1.0, i_diff, i_sum)]
+    df = [ClickTerm(delta, i_sum, i_diff), ClickTerm(1.0 - delta, i_diff, i_sum)]
+    return eq, df
 
 
 def two_party_asymmetric(
@@ -246,51 +216,38 @@ def two_party_asymmetric(
     intensity, and half-flipped pairs (relative phase +-i) land on the
     self-complementary cross intensity (b1**2 + b2**2) / m.
     """
-    if protocol.N != 2 or channel.n_senders != 2 or len(alphas) != 2:
+    if protocol.N != 2 or channel.n_senders != 2:
         raise DomainError("two-party model needs N = 2 throughout")
-    for a in alphas:
-        if not (float(a) >= 0.0 and math.isfinite(float(a))):
-            raise DomainError(f"amplitudes must be finite and >= 0, got {a!r}")
     delta = protocol.delta
     m = protocol.m
-    pulses = encoding.pulses(m)
-    b1, b2 = (s * float(a) for s, a in zip(channel.sqrt_eta, alphas))
+    b1, b2 = _attenuated(alphas, channel, (1, 2))
     if encoding is Encoding.SINGLE_BIT:
-        i_diff = (b1 - b2) ** 2 / (2 * m)
-        i_sum = (b1 + b2) ** 2 / (2 * m)
-        eq = [[ClickTerm(1.0, i_diff, i_sum)]]
-        diff = [
-            [ClickTerm(delta, i_sum, i_diff), ClickTerm(1.0 - delta, i_diff, i_sum)]
-        ]
+        eq, diff = _pair_terms(b1, b2, delta, m)
     else:
         i_diff = (b1 - b2) ** 2 / m
         i_sum = (b1 + b2) ** 2 / m
         i_cross = (b1**2 + b2**2) / m
-        eq = [[ClickTerm(1.0, i_diff, i_sum)]]
+        eq = [ClickTerm(1.0, i_diff, i_sum)]
         diff = [
-            [
-                ClickTerm((1.0 - delta) ** 2, i_diff, i_sum),
-                ClickTerm(2.0 * delta * (1.0 - delta), i_cross, i_cross),
-                ClickTerm(delta**2, i_sum, i_diff),
-            ]
+            ClickTerm((1.0 - delta) ** 2, i_diff, i_sum),
+            ClickTerm(2.0 * delta * (1.0 - delta), i_cross, i_cross),
+            ClickTerm(delta**2, i_sum, i_diff),
         ]
-    args = (channel.dark_count, channel.visibility, pulses)
-    return (
-        apply_visibility(eq, *args, CONDITION_EQUAL),
-        apply_visibility(diff, *args, CONDITION_DIFFERENT),
-    )
+    args = (channel.dark_count, channel.visibility, encoding.pulses(m))
+    return apply_visibility([eq], *args), apply_visibility([diff], *args)
 
 
 def four_party_asymmetric(
     run_index: int,
-    run: RunConfig,
+    alphas: Sequence[float],
     channel: ChannelModel,
     protocol: ProtocolParams,
 ) -> tuple[ClickProfile, ClickProfile]:
     """Equal/Different profiles of one run with per-sender amplitudes.
 
-    Ports hold senders (i,j,k,l) = run_pairing(run_index); with b_x =
-    sqrt(eta_x)*alpha_x the observed detectors see
+    alphas[s - 1] is sender s's amplitude.  Ports hold senders (i,j,k,l) =
+    run_pairing(run_index); with b_x = sqrt(eta_x)*alpha_x the observed
+    detectors see
 
         detector 2:  Equal (b_i - b_j)**2/(2m);  Different mixes the flipped
                      pair (b_i + b_j)**2/(2m) with weight delta
@@ -302,31 +259,17 @@ def four_party_asymmetric(
 
     Complement intensities flip the sign of the second operand (detector 2:
     the port-j field; detector 3: the right-pair sum; detector 4: the port-l
-    field).  With equal amplitudes and transmissions this reduces to
-    four_party_equal_diff.
+    field).  With equal amplitudes and transmissions the Equal profile is
+    four_party_symmetric's AAAA row at the observed detectors, and each
+    detector's Different probability its row under a single-sender split
+    that the detector sees.
     """
     _check_four_party(channel, protocol)
-    if run.encoding is not Encoding.SINGLE_BIT:
-        raise DomainError("two-bit encoding is defined for two senders only")
-    expected = run_pairing(run_index, 4)
-    if run.pairing != expected:
-        raise DomainError(
-            f"run {run_index} uses pairing {expected}, got {run.pairing}"
-        )
     delta = protocol.delta
     m = protocol.m
-    sqrt_eta = channel.sqrt_eta
-    bi, bj, bk, bl = (sqrt_eta[s - 1] * run.alphas[s - 1] for s in run.pairing)
-
-    def pair_terms(ba: float, bb: float) -> tuple[list[ClickTerm], list[ClickTerm]]:
-        i_diff = (ba - bb) ** 2 / (2 * m)
-        i_sum = (ba + bb) ** 2 / (2 * m)
-        eq = [ClickTerm(1.0, i_diff, i_sum)]
-        df = [ClickTerm(delta, i_sum, i_diff), ClickTerm(1.0 - delta, i_diff, i_sum)]
-        return eq, df
-
-    eq2, df2 = pair_terms(bi, bj)
-    eq4, df4 = pair_terms(bk, bl)
+    bi, bj, bk, bl = _attenuated(alphas, channel, run_pairing(run_index, 4))
+    eq2, df2 = _pair_terms(bi, bj, delta, m)
+    eq4, df4 = _pair_terms(bk, bl, delta, m)
 
     i_eq3 = (bi + bj - bk - bl) ** 2 / (4 * m)
     i_eq3c = (bi + bj + bk + bl) ** 2 / (4 * m)
@@ -346,6 +289,6 @@ def four_party_asymmetric(
     ]
     args = (channel.dark_count, channel.visibility, m)
     return (
-        apply_visibility([eq2, eq3, eq4], *args, CONDITION_EQUAL),
-        apply_visibility([df2, df3, df4], *args, CONDITION_DIFFERENT),
+        apply_visibility([eq2, eq3, eq4], *args),
+        apply_visibility([df2, df3, df4], *args),
     )

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qfnet.core import ChannelModel, Encoding, ProtocolParams, RunConfig, run_pairing
-from qfnet.probmodel import four_party_equal_diff
+from qfnet.probmodel import four_party_asymmetric
 from qfnet.stats import CountModel, best_threshold
 
 # Operating point used by the Monte Carlo tests and the statistical
@@ -23,8 +23,8 @@ def desk_mu(delta: float = 0.22) -> float:
 def desk_setup():
     pp = ProtocolParams(n=500_000, c=0.2, delta=0.22, epsilon=1e-3, N=4)
     ch = ChannelModel(eta=(1.0, 1.0, 1.0, 1.0), dark_count=5e-5)
-    mu = desk_mu(pp.delta)
-    equal, different = four_party_equal_diff(mu, ch, pp)
+    alphas = (math.sqrt(desk_mu(pp.delta)),) * 4
+    equal, different = four_party_asymmetric(1, alphas, ch, pp)
     thresholds = tuple(
         best_threshold(
             CountModel.auto(equal.pulses, p_eq),
@@ -32,7 +32,6 @@ def desk_setup():
         ).threshold
         for p_eq, p_df in zip(equal.per_detector, different.per_detector)
     )
-    alphas = (math.sqrt(mu),) * 4
     runs = tuple(
         RunConfig(
             alphas=alphas,

@@ -41,12 +41,11 @@ from qfnet.optics import oracle_click_profile
 from qfnet.optimizer import OptimizationProblem, evaluate_fixed, optimize
 from qfnet.probmodel import (
     four_party_asymmetric,
-    four_party_equal_diff,
     four_party_symmetric,
     two_party_asymmetric,
 )
 
-from conftest import DESK_SEED, desk_mu
+from conftest import DESK_SEED
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -247,7 +246,7 @@ def test_criterion_4_closed_forms_match_oracle():
                 thresholds=(1, 1, 1),
                 encoding=Encoding.SINGLE_BIT,
             )
-            equal, different = four_party_asymmetric(run_index, run, ch, pp)
+            equal, different = four_party_asymmetric(run_index, run.alphas, ch, pp)
             bi, bj, bk, bl = (ch.sqrt_eta[s - 1] * run.alphas[s - 1] for s in pairing)
             # Detector 3's Different hypothesis splits off the sender whose
             # sign flip leaves the smallest |(b_i + b_j) - (b_k + b_l)|.
@@ -409,7 +408,7 @@ def test_criterion_7_monte_carlo_validation(desk_setup):
     t0 = time.perf_counter()
     pp, ch, runs = desk_setup
 
-    equal, different = four_party_equal_diff(desk_mu(pp.delta), ch, pp)
+    equal, different = four_party_asymmetric(1, runs[0].alphas, ch, pp)
     eq_means = [pp.m * p for p in equal.per_detector]
     df_means = [pp.m * p for p in different.per_detector]
     ok = all(4.5 <= m <= 5.5 for m in eq_means) and 75.0 <= max(df_means) <= 85.0

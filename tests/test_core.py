@@ -239,8 +239,10 @@ def test_protocol_params_codeword_length():
 
 
 def test_protocol_params_warns_on_compressing_code():
-    with pytest.warns(UserWarning, match="expansion factor"):
+    with pytest.warns(UserWarning, match="expansion factor") as records:
         ProtocolParams(n=100, c=0.2, delta=0.22, epsilon=0.01, N=4)
+    # The warning names the caller's line, not the generated __init__.
+    assert [r.filename for r in records] == [__file__]
 
 
 def test_protocol_params_validation():

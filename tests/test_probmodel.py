@@ -23,12 +23,12 @@ from qfnet.core import (
     RunConfig,
     run_pairing,
 )
+from qfnet.optics import oracle_click_profile
 from qfnet.probmodel import (
     ClickProfile,
     ClickTerm,
     apply_visibility,
     four_party_asymmetric,
-    four_party_equal_diff,
     four_party_symmetric,
     two_party_asymmetric,
 )
@@ -47,15 +47,13 @@ def make_pp(n=1000, c=2.0, delta=0.22, N=4):
 
 def test_apply_visibility_weights_must_sum_to_one():
     with pytest.raises(DomainError):
-        apply_visibility(
-            [[ClickTerm(0.5, 1.0, 0.0)]], 0.0, 1.0, 100, "equal"
-        )
+        apply_visibility([[ClickTerm(0.5, 1.0, 0.0)]], 0.0, 1.0, 100)
 
 
 def test_apply_visibility_mixture():
     terms = [[ClickTerm(0.25, 2.0, 0.5), ClickTerm(0.75, 0.0, 1.0)]]
     nu, dark = 0.9, 1e-4
-    prof = apply_visibility(terms, dark, nu, 100, "equal")
+    prof = apply_visibility(terms, dark, nu, 100)
     want = (
         0.25 * (nu * p_click(2.0) + (1 - nu) * p_click(0.5))
         + 0.75 * (nu * p_click(0.0) + (1 - nu) * p_click(1.0))
@@ -63,12 +61,11 @@ def test_apply_visibility_mixture():
     )
     assert prof.per_detector[0] == pytest.approx(want, rel=1e-12)
     assert prof.pulses == 100
-    assert prof.condition == "equal"
 
 
 def test_apply_visibility_zero_routes_to_complement():
     terms = [[ClickTerm(1.0, 3.0, 0.2)]]
-    prof = apply_visibility(terms, 0.0, 0.0, 10, "x")
+    prof = apply_visibility(terms, 0.0, 0.0, 10)
     assert prof.per_detector[0] == pytest.approx(p_click(0.2), rel=1e-12)
 
 
@@ -81,7 +78,7 @@ def test_equal_diff_closed_forms():
     mu = 50.0
     e1 = 0.3 * mu / pp.m
     d = pp.delta
-    eq, df = four_party_equal_diff(mu, ch, pp)
+    eq, df = four_party_asymmetric(1, (math.sqrt(mu),) * 4, ch, pp)
     # perfect visibility: equal-condition difference ports see dark only
     for p in eq.per_detector:
         assert p == pytest.approx(ch.dark_count, rel=1e-12)
@@ -97,7 +94,7 @@ def test_equal_diff_with_reduced_visibility():
     ch = ChannelModel(eta=(0.3,) * 4, dark_count=1e-6, visibility=0.98)
     mu, nu, d = 50.0, 0.98, pp.delta
     e1 = 0.3 * mu / pp.m
-    eq, df = four_party_equal_diff(mu, ch, pp)
+    eq, df = four_party_asymmetric(1, (math.sqrt(mu),) * 4, ch, pp)
     # equal condition: the bright complement leaks through with weight 1 - nu
     assert eq.per_detector[0] == pytest.approx(
         (1 - nu) * p_click(2 * e1) + ch.dark_count, rel=1e-12
@@ -210,36 +207,36 @@ def test_two_party_needs_two_senders():
 # --- four-party, per-sender amplitudes ---------------------------------------
 
 
-def asym_run(run_index, alphas):
-    return RunConfig(
-        alphas=alphas,
-        pairing=run_pairing(run_index),
-        thresholds=(0, 0, 0),
-    )
+def split_off(sender):
+    return Relationship.from_groups([[sender], [s for s in range(1, 5) if s != sender]])
 
 
 def test_asymmetric_degenerates_to_symmetric():
+    """Equal amplitudes on equal channels: Equal is the AAAA row, and each
+    observed detector's Different is its row under a single-sender split that
+    the detector sees (detector 2: port j, detector 3: any, detector 4: port
+    l)."""
     pp = make_pp()
     ch = ChannelModel(eta=(0.3,) * 4, dark_count=1e-9, visibility=0.99)
     mu = 40.0
-    a = math.sqrt(mu)
-    eq_ref, df_ref = four_party_equal_diff(mu, ch, pp)
     for run_index in (1, 2, 3):
-        eq, df = four_party_asymmetric(run_index, asym_run(run_index, (a,) * 4), ch, pp)
-        for got, want in zip(eq.per_detector, eq_ref.per_detector):
+        pairing = run_pairing(run_index)
+        eq, df = four_party_asymmetric(run_index, (math.sqrt(mu),) * 4, ch, pp)
+        aaaa = four_party_symmetric(Relationship.from_label("AAAA"), mu, ch, pp, pairing)
+        for got, want in zip(eq.per_detector, aaaa.per_detector[1:]):
             assert got == pytest.approx(want, rel=1e-13)
-        for got, want in zip(df.per_detector, df_ref.per_detector):
-            assert got == pytest.approx(want, rel=1e-13)
+        for d, split in ((0, pairing[1]), (1, pairing[0]), (1, pairing[2]), (2, pairing[3])):
+            want = four_party_symmetric(split_off(split), mu, ch, pp, pairing)
+            assert df.per_detector[d] == pytest.approx(want.per_detector[d + 1], rel=1e-13)
 
 
 def test_asymmetric_closed_form_detector2():
     pp = make_pp()
     ch = ChannelModel.from_sqrt_eta((0.3, 0.4, 0.5, 0.6), dark_count=1e-9)
     alphas = (109.0, 109.0, 69.0, 69.0)
-    run = asym_run(1, alphas)
     b = [s * a for s, a in zip(ch.sqrt_eta, alphas)]
     m, d = pp.m, pp.delta
-    eq, df = four_party_asymmetric(1, run, ch, pp)
+    eq, df = four_party_asymmetric(1, alphas, ch, pp)
     assert eq.per_detector[0] == pytest.approx(
         p_click((b[0] - b[1]) ** 2 / (2 * m)) + ch.dark_count, rel=1e-12
     )
@@ -263,7 +260,6 @@ def test_asymmetric_detector3_uses_the_adversarial_flip(alphas):
     sender leaves the smallest field imbalance."""
     pp = make_pp()
     ch = ChannelModel.from_sqrt_eta((0.3, 0.4, 0.5, 0.6))
-    run = asym_run(1, tuple(alphas))
     bi, bj, bk, bl = (s * a for s, a in zip(ch.sqrt_eta, alphas))
     x = min(
         abs(-bi + bj - bk - bl),
@@ -273,40 +269,51 @@ def test_asymmetric_detector3_uses_the_adversarial_flip(alphas):
     )
     base = (bi + bj - bk - bl) ** 2 / (4 * pp.m)
     want = pp.delta * p_click(x**2 / (4 * pp.m)) + (1 - pp.delta) * p_click(base)
-    _, df = four_party_asymmetric(1, run, ch, pp)
+    _, df = four_party_asymmetric(1, alphas, ch, pp)
     assert df.per_detector[1] == pytest.approx(want, rel=1e-11, abs=1e-18)
 
 
-def test_asymmetric_validates_pairing_and_encoding():
+@given(
+    st.integers(1, 3),
+    st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    st.lists(st.floats(0.0, 60.0), min_size=4, max_size=4),
+    st.floats(0.0, 1e-3),
+)
+def test_asymmetric_detector3_is_the_worst_single_flip(run_index, eta, alphas, dark):
+    """At visibility 1 the detector-3 Different probability is the smallest
+    over the four single-sender splits the oracle enumerates."""
+    pp = make_pp(n=50_000)
+    ch = ChannelModel(eta=tuple(eta), dark_count=dark)
+    run = RunConfig(alphas=tuple(alphas), pairing=run_pairing(run_index), thresholds=(1, 1, 1))
+    _, df = four_party_asymmetric(run_index, alphas, ch, pp)
+    worst = min(
+        oracle_click_profile(split_off(s), run, ch, pp).per_detector[2] for s in range(1, 5)
+    )
+    assert df.per_detector[1] == pytest.approx(worst, rel=0.0, abs=1e-15)
+
+
+def test_asymmetric_validates_amplitudes_and_run_index():
     pp = make_pp()
     ch = ChannelModel(eta=(0.5,) * 4)
-    run = asym_run(2, (1.0, 1.0, 1.0, 1.0))
+    for alphas in ((1.0,) * 3, (1.0, 1.0, -1.0, 1.0), (1.0, math.nan, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            four_party_asymmetric(1, alphas, ch, pp)
     with pytest.raises(DomainError):
-        four_party_asymmetric(1, run, ch, pp)  # run 1 must use pairing (1,2,3,4)
+        four_party_asymmetric(4, (1.0,) * 4, ch, pp)  # four senders have runs 1..3
     with pytest.raises(DomainError):
-        four_party_asymmetric(
-            1,
-            RunConfig(
-                alphas=(1.0,) * 4,
-                pairing=run_pairing(1),
-                thresholds=(0, 0, 0),
-                encoding=Encoding.TWO_BIT,
-            ),
-            ch,
-            pp,
-        )
+        four_party_asymmetric(1, (1.0,) * 4, ChannelModel(eta=(0.5,) * 2), pp)
 
 
 # --- profile container -------------------------------------------------------
 
 
 def test_click_profile_validation():
-    ClickProfile(per_detector=(0.1, 0.2), condition="x", pulses=10)
+    ClickProfile(per_detector=(0.1, 0.2), pulses=10)
     with pytest.raises(DomainError):
-        ClickProfile(per_detector=(1.2,), condition="x", pulses=10)
+        ClickProfile(per_detector=(1.2,), pulses=10)
     with pytest.raises(DomainError):
-        ClickProfile(per_detector=(-0.1,), condition="x", pulses=10)
+        ClickProfile(per_detector=(-0.1,), pulses=10)
     with pytest.raises(DomainError):
-        ClickProfile(per_detector=(0.1,), condition="x", pulses=0)
+        ClickProfile(per_detector=(0.1,), pulses=0)
     with pytest.raises(DomainError):
-        ClickProfile(per_detector=(), condition="x", pulses=10)
+        ClickProfile(per_detector=(), pulses=10)

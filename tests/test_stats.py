@@ -427,7 +427,7 @@ def test_published_thresholds_under_code_rate_convention():
             if pp.N == 2:
                 equal, different = two_party_asymmetric(rc.alphas, bench.ch, pp, bench.encoding)
             else:
-                equal, different = four_party_asymmetric(run_index, rc, bench.ch, pp)
+                equal, different = four_party_asymmetric(run_index, rc.alphas, bench.ch, pp)
             assert equal.pulses > BINOMIAL_PULSE_LIMIT
             for detector, (p_eq, p_df, published) in enumerate(
                 zip(equal.per_detector, different.per_detector, rc.thresholds), start=2
@@ -450,13 +450,13 @@ def test_published_thresholds_under_code_rate_convention():
 # --- protocol error over runs ------------------------------------------------
 
 
-def profile(p, pulses=1000, condition="equal"):
-    return ClickProfile(per_detector=tuple(p), condition=condition, pulses=pulses)
+def profile(p, pulses=1000):
+    return ClickProfile(per_detector=tuple(p), pulses=pulses)
 
 
 def test_error_probability_is_worst_tail_over_runs():
     eq = profile([0.0, 0.001])
-    df = profile([0.02, 0.05], condition="different")
+    df = profile([0.02, 0.05])
     ths = [(5, 10)]
     got = error_probability([(eq, df)], ths)
     worst = 0.0
@@ -471,7 +471,7 @@ def test_error_probability_is_worst_tail_over_runs():
 
 def test_error_probability_perfect_separation():
     eq = profile([0.0])
-    df = profile([1.0], condition="different")
+    df = profile([1.0])
     assert error_probability([(eq, df)], [(500,)]) == 0.0
 
 
