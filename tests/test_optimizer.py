@@ -1,9 +1,12 @@
 """Amplitude search under the error budget, and fixed-row audits."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
+from qfnet.benchmarks import BENCHMARKS
 from qfnet.core import (
     ChannelModel,
     DomainError,
@@ -180,3 +183,47 @@ def test_optimize_result_serializes():
     assert doc["per_run"][0]["pairing"] == [1, 2]
     assert doc["per_run"][0]["encoding"] == "single-bit"
     assert isinstance(doc["per_run"][0]["thresholds"][0], int)
+
+
+# --- pinned output -----------------------------------------------------------
+
+# sha256 of json.dumps(optimize(problem).to_jsonable(), sort_keys=True): the
+# alphas, thresholds, p_e, q_r and trace["evaluations"] of each search.  A
+# change to the search, the click model or the threshold choice changes a
+# digest, so a speed-up of any of them must leave these alone.  The digests
+# also depend on scipy's betainc/pdtr values (the count tails behind every
+# threshold and p_e): a scipy release that moves them by one ulp changes them
+# without any change here.
+_DESK_PROTOCOL = {"n": 500_000, "c": 0.2, "delta": 0.22, "epsilon": 1e-3}
+_DESK_DARK_COUNT = 5e-5
+_PINNED_OPTIMIZE = {
+    "T_asym4": "09effebf777f70ae281b65f6b4ffe77adb6cdd7b2cf1af0a6d9c7bed3b6e6666",
+    "desk4 nu=0.992": "bd83375b9cceb7c726b2cfb42e064ea9bf96aa548247d0f4b96c775ab4a74de8",
+    "desk4 nu=0.9845": "94230850829e5efa6192b927990d0be51fcacec9339554f29cc5fe4cc9698538",
+    "desk2 two-bit": "c7ce68c0245f2a7dc931d7ec3bad026ceaf8ae8c8baded9d5fec9505b97b0d0b",
+}
+
+
+def _pinned_problem(label: str) -> OptimizationProblem:
+    if label == "T_asym4":
+        bench = BENCHMARKS["T_asym4"]
+        return OptimizationProblem(pp=bench.pp, ch=bench.ch, runs=len(bench.runs))
+    # desk scale: m = 1e5 pulses; the four-party channels are the fixed ones
+    # of the benchmark's desk-optimize batch
+    sqrt_eta, visibility, encoding = {
+        "desk4 nu=0.992": ((0.566, 0.705, 0.847, 0.817), 0.992, Encoding.SINGLE_BIT),
+        "desk4 nu=0.9845": ((0.611, 0.762, 0.938, 0.796), 0.9845, Encoding.SINGLE_BIT),
+        "desk2 two-bit": ((0.62, 0.87), 0.985, Encoding.TWO_BIT),
+    }[label]
+    return OptimizationProblem(
+        pp=ProtocolParams(**_DESK_PROTOCOL, N=len(sqrt_eta)),
+        ch=ChannelModel.from_sqrt_eta(sqrt_eta, _DESK_DARK_COUNT, visibility),
+        encoding=encoding,
+    )
+
+
+@pytest.mark.parametrize("label", sorted(_PINNED_OPTIMIZE))
+def test_optimize_output_is_pinned(label):
+    doc = optimize(_pinned_problem(label)).to_jsonable()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == _PINNED_OPTIMIZE[label]
