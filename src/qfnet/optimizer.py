@@ -5,10 +5,13 @@ worst-case decision error over the observed detectors staying below epsilon,
 with thresholds re-selected by stats.best_threshold at every candidate point.
 That search is bracketed between the two count means, so a detector costs
 about 15-24 tail evaluations where one over the whole count range takes
-40-94.  A geometric ladder finds the first feasible scale along an amplitude
-ray and a log-bisection narrows the bracket below it; asymmetric channels
-then get a per-coordinate descent that walks each amplitude down while
-feasibility holds.
+40-94.  One optimize() call keeps each choice by the detector's (Equal,
+Different) pulses and probabilities, so a detector whose probabilities repeat
+within the search costs no tail evaluations; a descent step on one amplitude
+leaves most detectors' probabilities as they were.  A geometric ladder finds
+the first feasible scale along an amplitude ray and a log-bisection narrows
+the bracket below it; asymmetric channels then get a per-coordinate descent
+that walks each amplitude down while feasibility holds.
 
 The error trends down along a ray (more photons separate the hypotheses
 better) but is not monotone: the integer threshold lattice makes it step up
@@ -41,7 +44,7 @@ from .probmodel import (
     four_party_asymmetric,
     two_party_asymmetric,
 )
-from .stats import CountModel, best_threshold, error_probability
+from .stats import CountModel, ThresholdChoice, best_threshold, error_probability
 
 __all__ = ["OptimizationProblem", "OptimizationResult", "optimize", "evaluate_fixed"]
 
@@ -123,24 +126,32 @@ def _run_profiles(
     return four_party_asymmetric(run_index, alphas, problem.ch, problem.pp)
 
 
+# One search's threshold choices, keyed by (Equal pulses, Equal probability,
+# Different pulses, Different probability) of a detector.
+_Chosen = dict[tuple[int, float, int, float], ThresholdChoice]
+
+
 def _pe_thresholds(
-    problem: OptimizationProblem, run_index: int, alphas: Sequence[float]
+    problem: OptimizationProblem, run_index: int, alphas: Sequence[float], chosen: _Chosen
 ) -> tuple[float, tuple[int, ...]]:
     # Worst detector error with per-detector optimal thresholds.
     equal, diff = _run_profiles(problem, run_index, alphas)
     worst = 0.0
     ths = []
     for p_eq, p_df in zip(equal.per_detector, diff.per_detector):
-        choice = best_threshold(
-            CountModel.auto(equal.pulses, p_eq), CountModel.auto(diff.pulses, p_df)
-        )
+        key = (equal.pulses, p_eq, diff.pulses, p_df)
+        choice = chosen.get(key)
+        if choice is None:
+            choice = chosen[key] = best_threshold(
+                CountModel.auto(equal.pulses, p_eq), CountModel.auto(diff.pulses, p_df)
+            )
         ths.append(choice.threshold)
         worst = max(worst, choice.p_e)
     return worst, tuple(ths)
 
 
 def _optimize_run(
-    problem: OptimizationProblem, run_index: int, counter: list[int]
+    problem: OptimizationProblem, run_index: int, counter: list[int], chosen: _Chosen
 ) -> tuple[tuple[float, ...], tuple[int, ...], float, bool]:
     lo, hi = problem.bounds
     eps = problem.pp.epsilon
@@ -159,7 +170,7 @@ def _optimize_run(
 
     def evaluate(alphas: Sequence[float]) -> tuple[float, tuple[int, ...]]:
         counter[0] += 1
-        return _pe_thresholds(problem, run_index, alphas)
+        return _pe_thresholds(problem, run_index, alphas, chosen)
 
     # Phase A: geometric ladder to the first feasible scale.
     best_pe, best_alphas, best_ths = math.inf, at(lo), (0,) * n_var
@@ -240,6 +251,8 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     within bounds meets epsilon.  Deterministic given the problem.
     """
     evaluations = [0]
+    # threshold choices of this call only, shared by its runs
+    chosen: _Chosen = {}
     per_run: list[RunConfig] = []
     worst_pe = 0.0
     all_feasible = True
@@ -257,7 +270,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
                 )
             )
             continue
-        alphas, ths, pe, ok = _optimize_run(problem, run_index, evaluations)
+        alphas, ths, pe, ok = _optimize_run(problem, run_index, evaluations, chosen)
         worst_pe = max(worst_pe, pe)
         all_feasible = all_feasible and ok
         per_run.append(

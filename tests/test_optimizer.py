@@ -16,7 +16,9 @@ from qfnet.core import (
     run_pairing,
 )
 from qfnet.complexity import q_total
+from qfnet import optimizer
 from qfnet.optimizer import OptimizationProblem, evaluate_fixed, optimize
+from qfnet.stats import best_threshold
 
 
 def small_sym4(epsilon=1e-6):
@@ -227,3 +229,26 @@ def test_optimize_output_is_pinned(label):
     doc = optimize(_pinned_problem(label)).to_jsonable()
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == _PINNED_OPTIMIZE[label]
+
+
+@pytest.mark.parametrize("label, evaluations", [("T_asym4", 192), ("desk4 nu=0.9845", 285)])
+def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evaluations):
+    # A descent step on one amplitude leaves most detectors' (Equal,
+    # Different) probabilities as they were; the search must not choose
+    # their thresholds again, and must not keep the choices past one call.
+    calls = []
+
+    def counting(equal, different):
+        calls.append(((equal.pulses, equal.p), (different.pulses, different.p)))
+        return best_threshold(equal, different)
+
+    monkeypatch.setattr(optimizer, "best_threshold", counting)
+    problem = _pinned_problem(label)
+    first = optimize(problem)
+    first_calls = list(calls)
+    assert first_calls
+    assert len(set(first_calls)) == len(first_calls)
+    calls.clear()
+    second = optimize(problem)
+    assert len(calls) == len(first_calls)  # nothing carried over between calls
+    assert first.trace["evaluations"] == second.trace["evaluations"] == evaluations
