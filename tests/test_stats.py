@@ -366,36 +366,89 @@ def test_best_threshold_single_pulse_equals_full_range(p_eq, p_df):
     assert_same_as_full_range(CountModel(1, p_eq), CountModel(1, p_df))
 
 
-@pytest.mark.parametrize(
-    "means, masses, want",
-    [
-        # the crossing lies far above both means: the top end widens to pulses
-        ((10, 20), (900, 950), 901),
-        # the crossing lies far below both means: the bottom end widens to 0
-        ((500, 600), (2, 3), 3),
-    ],
-    ids=["crossing-above-means", "crossing-below-means"],
-)
-def test_best_threshold_widens_bracket_when_crossing_lies_outside(monkeypatch, means, masses, want):
-    # Binomial and Poisson counts cross between their means, so the widening
-    # needs tails that do not: point masses placed away from the means.
-    pulses = 1000
-    equal = CountModel(pulses, means[0] / pulses)
-    different = CountModel(pulses, means[1] / pulses)
+def use_point_masses(monkeypatch, equal, different, masses):
+    # Binomial and Poisson counts cross between their means, so a search
+    # that must run out to an end of the range needs tails that do not:
+    # point masses placed away from the means.
     mass_at = {equal.p: masses[0], different.p: masses[1]}
     monkeypatch.setattr(stats, "tail_above", lambda model, t: float(mass_at[model.p] > t))
     monkeypatch.setattr(stats, "tail_below", lambda model, t: float(mass_at[model.p] < t))
+
+
+WIDENING_PULSES = 1000
+WIDENING_CASES = [
+    # the crossing lies far above both means: the search runs out to pulses
+    ((10, 20), (900, 950), 901),
+    # the crossing lies far below both means: the search runs out to 0
+    ((500, 600), (2, 3), 3),
+]
+TAIL_BUDGET_POINTS = [
+    # a bundled row's shape under m = c*n (Poisson law)
+    (10**13, (76.0, 426.0)),
+    (10**5, (5.0, 300.0)),
+    # the bundled rows' shape under m = n/c (T4's means)
+    (10**13, (1516.0, 1866.0)),
+    # a desk-scale pair
+    (10**5, (10.0, 50.0)),
+]
+
+
+def models_at(pulses, means):
+    return tuple(CountModel.auto(pulses, mean / pulses) for mean in means)
+
+
+@pytest.mark.parametrize(
+    "means, masses, want", WIDENING_CASES, ids=["crossing-above-means", "crossing-below-means"]
+)
+def test_best_threshold_widens_bracket_when_crossing_lies_outside(monkeypatch, means, masses, want):
+    equal, different = models_at(WIDENING_PULSES, means)
+    use_point_masses(monkeypatch, equal, different, masses)
     choice = assert_same_as_full_range(equal, different)
     assert (choice.threshold, choice.p_e) == (want, 0.0)
 
 
+@pytest.mark.parametrize("start", ["zero", "pulses", "computed-minus-50", "computed-plus-50"])
 @pytest.mark.parametrize(
-    "pulses, means",
-    [(10**13, (76.0, 426.0)), (10**5, (5.0, 300.0))],
+    "pulses, means, masses",
+    [(WIDENING_PULSES, means, masses) for means, masses, _ in WIDENING_CASES]
+    + [(pulses, means, None) for pulses, means in TAIL_BUDGET_POINTS],
+    ids=[
+        "crossing-above-means",
+        "crossing-below-means",
+        "poisson-76-426",
+        "binomial-5-300",
+        "poisson-1516-1866",
+        "binomial-10-50",
+    ],
 )
+def test_best_threshold_does_not_depend_on_start(monkeypatch, pulses, means, masses, start):
+    equal, different = models_at(pulses, means)
+    if masses is not None:
+        use_point_masses(monkeypatch, equal, different, masses)
+    computed = stats._search_start(equal, different)
+    forced = {
+        "zero": 0,
+        "pulses": pulses,
+        "computed-minus-50": max(computed - 50, 0),
+        "computed-plus-50": min(computed + 50, pulses),
+    }[start]
+    starts = []
+
+    def forced_start(*models):
+        starts.append(forced)
+        return forced
+
+    monkeypatch.setattr(stats, "_search_start", forced_start)
+    assert_same_as_full_range(equal, different)
+    assert starts == [forced]
+
+
+@pytest.mark.parametrize("pulses, means", TAIL_BUDGET_POINTS)
 def test_best_threshold_tail_budget(monkeypatch, pulses, means):
     # The search over the full range needs 94 (Poisson, 10^13 pulses) and 40
-    # (binomial, 10^5 pulses) tail evaluations here.
+    # (binomial, 10^5 pulses) tail evaluations here, and a bisection from the
+    # bracket between the two means 14-24; the search from the
+    # equal-probability count needs 4 at each point.
     calls = []
     for name in ("tail_above", "tail_below"):
         tail = getattr(stats, name)
@@ -405,9 +458,33 @@ def test_best_threshold_tail_budget(monkeypatch, pulses, means):
             return tail(model, t)
 
         monkeypatch.setattr(stats, name, counted)
-    equal, different = (CountModel.auto(pulses, mean / pulses) for mean in means)
-    best_threshold(equal, different)
-    assert 0 < len(calls) <= 30
+    best_threshold(*models_at(pulses, means))
+    assert 0 < len(calls) <= 8
+
+
+@pytest.mark.parametrize(
+    "pulses, p_eq, p_df",
+    [
+        (12925, 0.12468009674522798, 1.0),
+        (390478, 0.004903242181306629, 1.0),
+        (1300, 0.56640625, 1.0),
+        (89879, 0.020862661594748446, 0.5412564494322709),
+    ],
+)
+def test_best_threshold_where_tails_underflow(pulses, p_eq, p_df):
+    # Against p = 1 the Different error is 0.0 at every count, and the Equal
+    # tail underflows to 0.0 over a band of counts but not at its top, where
+    # it is p_eq**pulses, a subnormal.  In the last pair both errors
+    # underflow and betainc returns 0.0, 5e-324, 0.0 at counts 3744-3746.
+    # The comparison the search bisects is then not monotone, so no search
+    # is bound to return the full-range one's threshold; the choice must
+    # still be as good, and its p_e the real error at that threshold.
+    equal, different = CountModel(pulses, p_eq), CountModel(pulses, p_df)
+    choice = best_threshold(equal, different)
+    _, want_err, _ = full_range_threshold(equal, different)
+    assert choice.p_e <= want_err
+    t = choice.threshold
+    assert choice.p_e == max(tail_above(equal, t - 1), tail_below(different, t))
 
 
 def test_published_thresholds_under_code_rate_convention():
