@@ -3,9 +3,10 @@
 Per run the search minimizes sum_k alpha_k**2 * log2(n) subject to the
 worst-case decision error over the observed detectors staying below epsilon,
 with thresholds re-selected by stats.best_threshold at every candidate point.
-That search is bracketed between the two count means, so a detector costs
-about 15-24 tail evaluations where one over the whole count range takes
-40-94.  One optimize() call keeps each choice by the detector's (Equal,
+That search starts at the count where the two count laws give equal
+probability, within a count or two of the crossing it looks for, so a
+detector costs about 4 tail evaluations where one over the whole count range
+takes 40-94.  One optimize() call keeps each choice by the detector's (Equal,
 Different) pulses and probabilities, so a detector whose probabilities repeat
 within the search costs no tail evaluations; a descent step on one amplitude
 leaves most detectors' probabilities as they were.  A geometric ladder finds

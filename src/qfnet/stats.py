@@ -169,8 +169,9 @@ class ThresholdChoice:
 
 
 def _search_start(equal: CountModel, different: CountModel) -> int:
-    # ceil of the count at which the two laws give equal probability, which
-    # lies between the means; the midpoint of the means when a law is a
+    # ceil of the count where the two laws give equal probability, which
+    # lies between the means: (mu_D - mu_E) / ln(mu_D / mu_E) for Poisson,
+    # its binomial analogue, or the midpoint of the means when a law is a
     # point mass at an end of its range
     ps = (equal.p, different.p)
     if not all(0.0 < p < 1.0 for p in ps):
@@ -190,27 +191,21 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
     P_equal(C >= t) is nonincreasing in t and P_different(C < t) is
     nondecreasing, so the minimizer sits where they cross: the smallest t at
     which the Different error reaches the Equal one.  The search starts at
-    the count where the two laws give equal probability, rounded up:
-    (mu_D - mu_E) / ln(mu_D / mu_E) for Poisson, its binomial analogue, or
-    the midpoint of the means when a probability is 0 or 1.  The crossing
-    lies within a count or two of it.  From there the search gallops down
-    or up with doubling steps until the comparison flips, running out to 0
-    or ``pulses`` if it never does, and bisects the last step.  The final
-    look takes the better of the crossing and the count below it, both
-    already evaluated; the count above errs at least P_different(C < t) at
-    the crossing, which is the crossing's own error.  A threshold costs
-    about 4 tail evaluations at 10^5 and at 10^13 pulses, where a search
-    over the whole count range takes 40-94.  Ties go to the smaller
-    threshold.
-
-    Where both tails are monotone in t the result is the full-range
-    search's, bit for bit, whatever the start.  Where a tail underflows
-    into subnormals, as the Equal tail does against a click probability at
-    or near 1, scipy's betainc is not monotone in its last bits, and the
-    two searches can return different thresholds; in every such case seen
-    the returned error is no larger than the full-range one, and usually
-    both are 0.0.  When the two models have equal means no threshold
-    separates them; the rounded midpoint is returned with
+    the count where the two laws give equal probability (_search_start),
+    within a count or two of the crossing, and gallops down or up with
+    doubling steps until the comparison flips, running out to 0 or
+    ``pulses`` if it never does; then it bisects the last step.  Of the
+    crossing's neighbours only the one below can do better: the one above
+    errs at least P_different(C < t) at the crossing, the crossing's own
+    error.  About 4 tail evaluations per threshold at 10^5 and 10^13 pulses,
+    against 40-94 over the whole count range.  Ties go to the smaller
+    threshold.  Where both tails are monotone in t the result is the
+    full-range search's, bit for bit, whatever the start.  Where a tail
+    underflows into subnormals (the Equal tail against a click probability
+    at or near 1, say) betainc is not monotone in its last bits and the two
+    searches can pick different thresholds; the error returned has been no
+    larger in every such case seen.  When the two models have equal means
+    no threshold separates them; the rounded midpoint is returned with
     ``degenerate=True``.
     """
     if equal.pulses != different.pulses:

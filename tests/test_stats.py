@@ -288,8 +288,9 @@ def test_best_threshold_matches_exhaustive_scan(pulses, p_eq, gap):
 def full_range_threshold(equal, different):
     """Reference search: bisection over the whole count range [0, pulses].
 
-    No bracket and no reuse of evaluated points; every tail goes through the
-    module attributes, so a test that substitutes them changes both searches.
+    No start point and no reuse of evaluated points; every tail goes through
+    the module attributes, so a test that substitutes them changes both
+    searches.
     """
 
     def errors(t):
