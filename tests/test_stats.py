@@ -447,8 +447,7 @@ def test_best_threshold_does_not_depend_on_start(monkeypatch, pulses, means, mas
 @pytest.mark.parametrize("pulses, means", TAIL_BUDGET_POINTS)
 def test_best_threshold_tail_budget(monkeypatch, pulses, means):
     # The search over the full range needs 94 (Poisson, 10^13 pulses) and 40
-    # (binomial, 10^5 pulses) tail evaluations here, and a bisection from the
-    # bracket between the two means 14-24; the search from the
+    # (binomial, 10^5 pulses) tail evaluations here; the search from the
     # equal-probability count needs 4 at each point.
     calls = []
     for name in ("tail_above", "tail_below"):
@@ -473,13 +472,14 @@ def test_best_threshold_tail_budget(monkeypatch, pulses, means):
     ],
 )
 def test_best_threshold_where_tails_underflow(pulses, p_eq, p_df):
-    # Against p = 1 the Different error is 0.0 at every count, and the Equal
-    # tail underflows to 0.0 over a band of counts but not at its top, where
-    # it is p_eq**pulses, a subnormal.  In the last pair both errors
-    # underflow and betainc returns 0.0, 5e-324, 0.0 at counts 3744-3746.
-    # The comparison the search bisects is then not monotone, so no search
-    # is bound to return the full-range one's threshold; the choice must
-    # still be as good, and its p_e the real error at that threshold.
+    # The Different error is 0.0 at the counts in question (at every count
+    # against p = 1), so the Equal error decides.  Where the Equal
+    # tail underflows into subnormals betainc is not monotone in t: 0.0,
+    # 5e-324, 0.0 at counts 3744-3746 of the last pair, and 0.0 over a band
+    # of counts but p_eq**pulses = 1.2e-321 at the top of the third.  The
+    # comparison the search bisects is then not monotone, so no search is
+    # bound to return the full-range one's threshold; the choice must still
+    # be as good, and its p_e the real error at that threshold.
     equal, different = CountModel(pulses, p_eq), CountModel(pulses, p_df)
     choice = best_threshold(equal, different)
     _, want_err, _ = full_range_threshold(equal, different)
