@@ -8,7 +8,9 @@ per detector; these tests pin each model to that shape written out by hand,
 and check the asymmetric four-party route degenerates to the symmetric one.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from qfnet.core import (
     ProtocolParams,
     Relationship,
     RunConfig,
+    enumerate_relationships,
     run_pairing,
 )
 from qfnet.optics import oracle_click_profile
@@ -161,20 +164,22 @@ def test_symmetric_profile_rejects_unequal_channels():
 
 def test_two_party_single_bit_formulas():
     pp = make_pp(N=2)
-    ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-8)
     alphas = (85.0, 78.0)
     b1, b2 = 0.3 * 85.0, 0.4 * 78.0
     m, d = pp.m, pp.delta
+    i_diff, i_sum = (b1 - b2) ** 2 / (2 * m), (b1 + b2) ** 2 / (2 * m)
+    ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-8)
     eq, df = two_party_asymmetric(alphas, ch, pp)
     assert eq.pulses == m
-    assert eq.per_detector[0] == pytest.approx(
-        p_click((b1 - b2) ** 2 / (2 * m)) + ch.dark_count, rel=1e-12
-    )
-    want_df = (
-        d * p_click((b1 + b2) ** 2 / (2 * m))
-        + (1 - d) * p_click((b1 - b2) ** 2 / (2 * m))
-        + ch.dark_count
-    )
+    assert eq.per_detector[0] == pytest.approx(p_click(i_diff) + ch.dark_count, rel=1e-12)
+    want_df = d * p_click(i_sum) + (1 - d) * p_click(i_diff) + ch.dark_count
+    assert df.per_detector[0] == pytest.approx(want_df, rel=1e-12)
+    # visibility 0: all light leaves by the complement, so the direct and
+    # complement intensities trade places
+    ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-8, visibility=0.0)
+    eq, df = two_party_asymmetric(alphas, ch, pp)
+    assert eq.per_detector[0] == pytest.approx(p_click(i_sum) + ch.dark_count, rel=1e-12)
+    want_df = d * p_click(i_diff) + (1 - d) * p_click(i_sum) + ch.dark_count
     assert df.per_detector[0] == pytest.approx(want_df, rel=1e-12)
 
 
@@ -317,3 +322,39 @@ def test_click_profile_validation():
         ClickProfile(per_detector=(0.1,), pulses=0)
     with pytest.raises(DomainError):
         ClickProfile(per_detector=(), pulses=10)
+
+
+# --- pinned closed forms -----------------------------------------------------
+
+# sha256 of the repr of every profile _pinned_profiles() builds.  A rewrite of
+# the closed forms that changes any probability by one ulp changes the digest,
+# so a refactor of probmodel must leave it alone.
+_PINNED_PROFILES = "c903776c000f1d1855e04ff389c6a443c0b81775a00b49e581a0fe149fa054b6"
+
+
+def _pinned_profiles():
+    rng = random.Random(20250819)
+    pp4, pp2 = make_pp(), make_pp(N=2)
+    out = []
+    for nu in (0.0, 0.97, 1.0):
+        for dark in (0.0, 1e-6):
+            for _ in range(2):
+                eta = tuple(rng.uniform(0.05, 1.0) for _ in range(4))
+                alphas = tuple(rng.uniform(1.0, 60.0) for _ in range(4))
+                ch4 = ChannelModel(eta, dark, nu)
+                for run_index in (1, 2, 3):
+                    out.append(four_party_asymmetric(run_index, alphas, ch4, pp4))
+                ch2 = ChannelModel(eta[:2], dark, nu)
+                for encoding in Encoding:
+                    out.append(two_party_asymmetric(alphas[:2], ch2, pp2, encoding))
+                sym = ChannelModel((eta[0],) * 4, dark, nu)
+                mu = rng.uniform(1.0, 3000.0)
+                for rel in enumerate_relationships(4):
+                    for run_index in (1, 2, 3):
+                        out.append(four_party_symmetric(rel, mu, sym, pp4, run_pairing(run_index)))
+    return out
+
+
+def test_closed_form_profiles_are_pinned():
+    digest = hashlib.sha256(repr(_pinned_profiles()).encode()).hexdigest()
+    assert digest == _PINNED_PROFILES
