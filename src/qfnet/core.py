@@ -26,6 +26,7 @@ __all__ = [
     "PatternRegion",
     "PatternFractions",
     "RunConfig",
+    "check_schedule",
     "enumerate_relationships",
     "worst_case_regions",
     "relationship_profile",
@@ -275,20 +276,6 @@ class Relationship:
         """True when at least two senders hold the same message."""
         return any(len(g) >= 2 for g in self.groups)
 
-    def permuted(self, order: Sequence[int]) -> "Relationship":
-        """Relationship as seen at the ports when port p holds sender order[p-1].
-
-        ``order`` is a permutation of 1..n; the result's "sender" p is the
-        original sender ``order[p-1]``.
-        """
-        if sorted(order) != list(range(1, self.n + 1)):
-            raise DomainError(f"order must permute 1..{self.n}, got {tuple(order)}")
-        labels = [self.group_of(s) for s in order]
-        by_group: dict[int, list[int]] = {}
-        for p, g in enumerate(labels, start=1):
-            by_group.setdefault(g, []).append(p)
-        return Relationship.from_groups(list(by_group.values()))
-
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.canonical_label
 
@@ -496,7 +483,21 @@ class RunConfig:
     def n_senders(self) -> int:
         return len(self.alphas)
 
-    @property
-    def mus(self) -> tuple[float, ...]:
-        """Per-sender mean photon numbers (alpha**2)."""
-        return tuple(a * a for a in self.alphas)
+
+def check_schedule(runs: Sequence[RunConfig], n_senders: int, encoding: Encoding) -> None:
+    """Check runs against the adaptive schedule.
+
+    Run i (counted from 1) must be sized for n_senders, use
+    run_pairing(i, n_senders) and carry the given encoding.
+    """
+    for i, rc in enumerate(runs, start=1):
+        if rc.n_senders != n_senders:
+            raise DomainError(f"run {i} sized for {rc.n_senders} senders, expected {n_senders}")
+        if rc.pairing != run_pairing(i, n_senders):
+            raise DomainError(
+                f"run {i} must use pairing {run_pairing(i, n_senders)}, got {rc.pairing}"
+            )
+        if rc.encoding is not encoding:
+            raise DomainError(
+                f"run {i} uses the {rc.encoding.value} encoding, expected {encoding.value}"
+            )

@@ -38,10 +38,10 @@ from .core import (
     ProtocolParams,
     Relationship,
     RunConfig,
+    check_schedule,
     observed_detectors,
-    run_pairing,
 )
-from .decision import outcome_bits, resolve_schedule
+from .decision import outcome_bits, resolve_schedule, run_budget
 from .optics import region_click_matrix
 
 __all__ = [
@@ -95,18 +95,10 @@ class TrialSpec:
             raise DomainError(f"simulation defined for 2 or 4 senders, got {n}")
         if self.pp.N != n or self.ch.n_senders != n:
             raise DomainError("relationship, protocol and channel sizes must agree")
-        needed = 1 if n == 2 else 3
+        needed = run_budget(n, "R", "MultiParty")
         if len(self.runs) != needed:
             raise DomainError(f"{n} senders need {needed} scheduled runs, got {len(self.runs)}")
-        for i, rc in enumerate(self.runs, start=1):
-            if rc.n_senders != n:
-                raise DomainError(f"run {i} sized for {rc.n_senders} senders, expected {n}")
-            if rc.pairing != run_pairing(i, n):
-                raise DomainError(
-                    f"run {i} must use pairing {run_pairing(i, n)}, got {rc.pairing}"
-                )
-            if rc.encoding is not self.runs[0].encoding:
-                raise DomainError("all runs must share one encoding")
+        check_schedule(self.runs, n, self.runs[0].encoding)
         if self.runs[0].encoding is Encoding.TWO_BIT and n != 2:
             raise DomainError("two-bit encoding is defined for two senders only")
         if self.trials < 1:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .complexity import q_total
 from .core import (
@@ -37,6 +37,7 @@ from .core import (
     Encoding,
     ProtocolParams,
     RunConfig,
+    check_schedule,
     run_pairing,
 )
 from .decision import run_budget
@@ -173,6 +174,17 @@ def _optimize_run(
         counter[0] += 1
         return _pe_thresholds(problem, run_index, alphas, chosen)
 
+    def narrow(x_lo: float, x_hi: float, point: Callable[[float], Sequence[float]]) -> float:
+        # Log-bisect an infeasible x_lo and a feasible x_hi down to the grid;
+        # returns the feasible end.
+        while x_hi / x_lo > 1.0 + problem.grid:
+            mid = math.sqrt(x_lo * x_hi)
+            if evaluate(point(mid))[0] <= eps:
+                x_hi = mid
+            else:
+                x_lo = mid
+        return x_hi
+
     # Phase A: geometric ladder to the first feasible scale.
     best_pe, best_alphas, best_ths = math.inf, at(lo), (0,) * n_var
     scale, prev = lo, None
@@ -190,15 +202,7 @@ def _optimize_run(
     if feasible_scale is None:
         return best_alphas, best_ths, best_pe, False
     if prev is not None:
-        f_lo, f_hi = prev, feasible_scale
-        while f_hi / f_lo > 1.0 + problem.grid:
-            mid = math.sqrt(f_lo * f_hi)
-            pe, _ = evaluate(at(mid))
-            if pe <= eps:
-                f_hi = mid
-            else:
-                f_lo = mid
-        feasible_scale = f_hi
+        feasible_scale = narrow(prev, feasible_scale, at)
     alphas = list(at(feasible_scale))
 
     # Phase B: per-coordinate descent.  Along the uniform ray on a symmetric
@@ -225,23 +229,15 @@ def _optimize_run(
                         c_lo = x
                         break
                 if c_lo is not None:
-                    while c_hi / c_lo > 1.0 + problem.grid:
-                        mid = math.sqrt(c_lo * c_hi)
-                        alphas[k] = mid
-                        pe, _ = evaluate(alphas)
-                        if pe <= eps:
-                            c_hi = mid
-                        else:
-                            c_lo = mid
+                    c_hi = narrow(c_lo, c_hi, lambda x: (*alphas[:k], x, *alphas[k + 1 :]))
                 alphas[k] = c_hi
                 if c_hi < current * (1.0 - 1e-12):
                     improved = True
             if not improved:
                 break
+    # alphas is the last point evaluated feasible: this re-evaluation only
+    # recovers its thresholds and error.
     pe, ths = evaluate(alphas)
-    if pe > eps:  # numerical safety: step back up along the ray
-        alphas = list(at(feasible_scale))
-        pe, ths = evaluate(alphas)
     return tuple(alphas), ths, pe, pe <= eps
 
 
@@ -259,7 +255,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     all_feasible = True
     assert problem.runs is not None
     for run_index in range(1, problem.runs + 1):
-        if problem.ch.symmetric() and run_index > 1 and per_run:
+        if problem.ch.symmetric() and run_index > 1:
             # identical stats in every run when the channel is symmetric
             first = per_run[0]
             per_run.append(
@@ -296,21 +292,12 @@ def evaluate_fixed(
         raise DomainError("need at least one run")
     if len(params) > run_budget(problem.pp.N, "R", "MultiParty"):
         raise DomainError(f"at most {run_budget(problem.pp.N, 'R', 'MultiParty')} runs")
-    pairs = []
-    thresholds = []
-    for run_index, rc in enumerate(params, start=1):
-        if rc.n_senders != problem.pp.N:
-            raise DomainError("run size disagrees with the protocol")
-        if rc.encoding is not problem.encoding:
-            raise DomainError("run encoding disagrees with the problem")
-        if rc.pairing != run_pairing(run_index, problem.pp.N):
-            raise DomainError(
-                f"run {run_index} must use pairing {run_pairing(run_index, problem.pp.N)}, "
-                f"got {rc.pairing}"
-            )
-        pairs.append(_run_profiles(problem, run_index, rc.alphas))
-        thresholds.append(rc.thresholds)
-    p_e = error_probability(pairs, thresholds)
+    check_schedule(params, problem.pp.N, problem.encoding)
+    pairs = [
+        _run_profiles(problem, run_index, rc.alphas)
+        for run_index, rc in enumerate(params, start=1)
+    ]
+    p_e = error_probability(pairs, [rc.thresholds for rc in params])
     q_r = q_total(params, problem.pp.n)
     return OptimizationResult(
         tuple(params), q_r, p_e, p_e <= problem.pp.epsilon, {"mode": "evaluate_fixed"}

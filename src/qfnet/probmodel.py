@@ -9,6 +9,8 @@ patterns, I_i is the mean photon number the pattern sends to the detector,
 and Ic_i is what the pattern sends to the detector's complement port (the
 other output of its final splitter) — which is where a fraction (1 - nu) of
 the light effectively goes when the interference visibility nu is below one.
+Each model lists its detectors' (w_i, I_i, Ic_i) terms and one helper sums
+them with the channel's visibility and dark count.
 
 This module never touches the transfer matrix: intensities come from the
 pattern fractions and algebraic port sums, so it forms an independent route
@@ -33,8 +35,6 @@ from .core import (
 
 __all__ = [
     "ClickProfile",
-    "ClickTerm",
-    "apply_visibility",
     "four_party_symmetric",
     "two_party_asymmetric",
     "four_party_asymmetric",
@@ -67,46 +67,21 @@ class ClickProfile:
             raise DomainError(f"pulses must be >= 1, got {self.pulses}")
 
 
-@dataclass(frozen=True)
-class ClickTerm:
-    """One mixture term: weight, direct intensity, complement intensity."""
-
-    weight: float
-    intensity: float
-    complement: float
+# One mixture term of a detector: (weight, direct intensity, complement intensity).
+_Term = tuple[float, float, float]
 
 
-def apply_visibility(
-    detector_terms: Sequence[Sequence[ClickTerm]],
-    dark_count: float,
-    visibility: float,
-    pulses: int,
+def _profile(
+    detectors: Sequence[Sequence[_Term]], channel: ChannelModel, pulses: int
 ) -> ClickProfile:
-    """Collapse per-detector term tables into a ClickProfile.
-
-    With visibility 1 the complement intensities drop out and each detector
-    reduces to sum_i w_i*(1 - exp(-I_i)) + P_dark.
-    """
-    if not (0.0 <= visibility <= 1.0):
-        raise DomainError(f"visibility must lie in [0, 1], got {visibility!r}")
-    if not (0.0 <= dark_count < 1.0):
-        raise DomainError(f"dark_count must lie in [0, 1), got {dark_count!r}")
+    """Sum each detector's terms, plus the dark count, into a ClickProfile."""
+    nu = channel.visibility
     probs = []
-    for terms in detector_terms:
-        total_w = math.fsum(t.weight for t in terms)
-        if not math.isclose(total_w, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise DomainError(f"term weights must sum to 1, got {total_w!r}")
+    for terms in detectors:
         p = 0.0
-        for t in terms:
-            if t.weight < -1e-12:
-                raise DomainError(f"term weights must be >= 0, got {t.weight!r}")
-            if t.intensity < 0.0 or t.complement < 0.0:
-                raise DomainError("term intensities must be >= 0")
-            p += t.weight * (
-                visibility * -math.expm1(-t.intensity)
-                + (1.0 - visibility) * -math.expm1(-t.complement)
-            )
-        probs.append(min(1.0, max(0.0, p + dark_count)))
+        for w, i, ic in terms:
+            p += w * (nu * -math.expm1(-i) + (1.0 - nu) * -math.expm1(-ic))
+        probs.append(min(1.0, max(0.0, p + channel.dark_count)))
     return ClickProfile(tuple(probs), pulses)
 
 
@@ -148,28 +123,20 @@ def four_party_symmetric(
     w_cross = max(0.0, fr.d_total - fr.d_single - fr.d_pairs)
     w_agree = max(0.0, 1.0 - fr.d_total)
     d1 = [
-        ClickTerm(w_agree, 4 * e1, 0.0),
-        ClickTerm(fr.d_single, e1, e1),
-        ClickTerm(fr.d_pairs, 0.0, 4 * e1),
-        ClickTerm(w_cross, 0.0, 0.0),
+        (w_agree, 4 * e1, 0.0),
+        (fr.d_single, e1, e1),
+        (fr.d_pairs, 0.0, 4 * e1),
+        (w_cross, 0.0, 0.0),
     ]
-    d2 = [
-        ClickTerm(fr.d12, 2 * e1, 0.0),
-        ClickTerm(1.0 - fr.d12, 0.0, 2 * e1),
-    ]
+    d2 = [(fr.d12, 2 * e1, 0.0), (1.0 - fr.d12, 0.0, 2 * e1)]
     d3 = [
-        ClickTerm(w_agree, 0.0, 4 * e1),
-        ClickTerm(fr.d_single, e1, e1),
-        ClickTerm(fr.d_pairs, 4 * e1, 0.0),
-        ClickTerm(w_cross, 0.0, 0.0),
+        (w_agree, 0.0, 4 * e1),
+        (fr.d_single, e1, e1),
+        (fr.d_pairs, 4 * e1, 0.0),
+        (w_cross, 0.0, 0.0),
     ]
-    d4 = [
-        ClickTerm(fr.d34, 2 * e1, 0.0),
-        ClickTerm(1.0 - fr.d34, 0.0, 2 * e1),
-    ]
-    return apply_visibility(
-        [d1, d2, d3, d4], channel.dark_count, channel.visibility, protocol.m
-    )
+    d4 = [(fr.d34, 2 * e1, 0.0), (1.0 - fr.d34, 0.0, 2 * e1)]
+    return _profile([d1, d2, d3, d4], channel, protocol.m)
 
 
 def _attenuated(
@@ -187,7 +154,7 @@ def _attenuated(
 
 def _pair_terms(
     ba: float, bb: float, delta: float, m: int
-) -> tuple[list[ClickTerm], list[ClickTerm]]:
+) -> tuple[list[_Term], list[_Term]]:
     """Equal/Different terms of a difference port fed by two senders.
 
     Equal sees (ba - bb)**2/(2m) with complement (ba + bb)**2/(2m); Different
@@ -195,9 +162,7 @@ def _pair_terms(
     """
     i_diff = (ba - bb) ** 2 / (2 * m)
     i_sum = (ba + bb) ** 2 / (2 * m)
-    eq = [ClickTerm(1.0, i_diff, i_sum)]
-    df = [ClickTerm(delta, i_sum, i_diff), ClickTerm(1.0 - delta, i_diff, i_sum)]
-    return eq, df
+    return [(1.0, i_diff, i_sum)], [(delta, i_sum, i_diff), (1.0 - delta, i_diff, i_sum)]
 
 
 def two_party_asymmetric(
@@ -227,14 +192,14 @@ def two_party_asymmetric(
         i_diff = (b1 - b2) ** 2 / m
         i_sum = (b1 + b2) ** 2 / m
         i_cross = (b1**2 + b2**2) / m
-        eq = [ClickTerm(1.0, i_diff, i_sum)]
+        eq = [(1.0, i_diff, i_sum)]
         diff = [
-            ClickTerm((1.0 - delta) ** 2, i_diff, i_sum),
-            ClickTerm(2.0 * delta * (1.0 - delta), i_cross, i_cross),
-            ClickTerm(delta**2, i_sum, i_diff),
+            ((1.0 - delta) ** 2, i_diff, i_sum),
+            (2.0 * delta * (1.0 - delta), i_cross, i_cross),
+            (delta**2, i_sum, i_diff),
         ]
-    args = (channel.dark_count, channel.visibility, encoding.pulses(m))
-    return apply_visibility([eq], *args), apply_visibility([diff], *args)
+    pulses = encoding.pulses(m)
+    return _profile([eq], channel, pulses), _profile([diff], channel, pulses)
 
 
 def four_party_asymmetric(
@@ -282,13 +247,6 @@ def four_party_asymmetric(
         ((bi + bj) - (bk - bl), (bi + bj) + (bk - bl)),
     ]
     x, xc = min(flips, key=lambda f: abs(f[0]))
-    eq3 = [ClickTerm(1.0, i_eq3, i_eq3c)]
-    df3 = [
-        ClickTerm(delta, x**2 / (4 * m), xc**2 / (4 * m)),
-        ClickTerm(1.0 - delta, i_eq3, i_eq3c),
-    ]
-    args = (channel.dark_count, channel.visibility, m)
-    return (
-        apply_visibility([eq2, eq3, eq4], *args),
-        apply_visibility([df2, df3, df4], *args),
-    )
+    eq3 = [(1.0, i_eq3, i_eq3c)]
+    df3 = [(delta, x**2 / (4 * m), xc**2 / (4 * m)), (1.0 - delta, i_eq3, i_eq3c)]
+    return _profile([eq2, eq3, eq4], channel, m), _profile([df2, df3, df4], channel, m)

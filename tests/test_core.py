@@ -1,7 +1,6 @@
 """Relationship algebra, worst-case pattern geometry, protocol parameters."""
 
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -14,6 +13,7 @@ from qfnet.core import (
     ProtocolParams,
     Relationship,
     RunConfig,
+    check_schedule,
     enumerate_relationships,
     observed_detectors,
     relationship_profile,
@@ -113,31 +113,12 @@ def test_groups_and_sizes():
     assert not Relationship.from_label("ABCD").any_equal
 
 
-def test_permuted_moves_senders_to_ports():
-    aabb = Relationship.from_label("AABB")
-    assert aabb.permuted((1, 3, 2, 4)).canonical_label == "ABAB"
-    assert aabb.permuted((1, 2, 4, 3)).canonical_label == "AABB"
-    with pytest.raises(DomainError):
-        aabb.permuted((1, 1, 2, 3))
-
-
 @given(st.text(alphabet="ABCD", min_size=2, max_size=8))
 def test_canonical_label_is_a_fixed_point(label):
     rel = Relationship.from_label(label)
     again = Relationship.from_label(rel.canonical_label)
     assert again == rel
     assert again.canonical_label == rel.canonical_label
-
-
-@given(
-    st.text(alphabet="ABC", min_size=2, max_size=6),
-    st.randoms(use_true_random=False),
-)
-def test_permutation_preserves_group_size_multiset(label, rnd):
-    rel = Relationship.from_label(label)
-    order = list(range(1, rel.n + 1))
-    rnd.shuffle(order)
-    assert Counter(rel.permuted(order).group_sizes) == Counter(rel.group_sizes)
 
 
 # --- worst-case regions ----------------------------------------------------
@@ -311,7 +292,6 @@ def test_observed_detectors():
 
 def test_run_config_validation():
     ok = RunConfig(alphas=(1.0, 2.0), pairing=(1, 2), thresholds=(5,))
-    assert ok.mus == (1.0, 4.0)
     assert ok.n_senders == 2
     with pytest.raises(DomainError):
         RunConfig(alphas=(1.0, 2.0), pairing=(1, 2), thresholds=(5, 5))
@@ -323,3 +303,15 @@ def test_run_config_validation():
         RunConfig(alphas=(-1.0, 2.0), pairing=(1, 2), thresholds=(5,))
     with pytest.raises(DomainError):
         RunConfig(alphas=(1.0, 2.0), pairing=(1, 2), thresholds=(-1,))
+
+
+def test_check_schedule():
+    runs = [RunConfig((1.0,) * 4, run_pairing(i), (5, 5, 5)) for i in (1, 2, 3)]
+    check_schedule(runs, 4, Encoding.SINGLE_BIT)
+    check_schedule(runs[:1], 4, Encoding.SINGLE_BIT)  # a prefix of the schedule
+    with pytest.raises(DomainError, match="sized for"):
+        check_schedule(runs, 2, Encoding.SINGLE_BIT)
+    with pytest.raises(DomainError, match="pairing"):
+        check_schedule(runs[1:], 4, Encoding.SINGLE_BIT)
+    with pytest.raises(DomainError, match="encoding"):
+        check_schedule(runs, 4, Encoding.TWO_BIT)

@@ -1,11 +1,12 @@
-"""Closed-form click probabilities: term tables, visibility, encodings.
+"""Closed-form click probabilities: visibility, dark counts, encodings.
 
 The published formulas have the shape
 
     P = delta_frac * (1 - exp(-I_bright)) + rest * (1 - exp(-I_dim)) + P_d
 
 per detector; these tests pin each model to that shape written out by hand,
-and check the asymmetric four-party route degenerates to the symmetric one.
+check the asymmetric four-party route degenerates to the symmetric one, and
+pin every profile of a small seeded grid bit for bit.
 """
 
 import hashlib
@@ -29,8 +30,6 @@ from qfnet.core import (
 from qfnet.optics import oracle_click_profile
 from qfnet.probmodel import (
     ClickProfile,
-    ClickTerm,
-    apply_visibility,
     four_party_asymmetric,
     four_party_symmetric,
     two_party_asymmetric,
@@ -43,33 +42,6 @@ def p_click(intensity):
 
 def make_pp(n=1000, c=2.0, delta=0.22, N=4):
     return ProtocolParams(n=n, c=c, delta=delta, epsilon=1e-3, N=N)
-
-
-# --- visibility mixing -------------------------------------------------------
-
-
-def test_apply_visibility_weights_must_sum_to_one():
-    with pytest.raises(DomainError):
-        apply_visibility([[ClickTerm(0.5, 1.0, 0.0)]], 0.0, 1.0, 100)
-
-
-def test_apply_visibility_mixture():
-    terms = [[ClickTerm(0.25, 2.0, 0.5), ClickTerm(0.75, 0.0, 1.0)]]
-    nu, dark = 0.9, 1e-4
-    prof = apply_visibility(terms, dark, nu, 100)
-    want = (
-        0.25 * (nu * p_click(2.0) + (1 - nu) * p_click(0.5))
-        + 0.75 * (nu * p_click(0.0) + (1 - nu) * p_click(1.0))
-        + dark
-    )
-    assert prof.per_detector[0] == pytest.approx(want, rel=1e-12)
-    assert prof.pulses == 100
-
-
-def test_apply_visibility_zero_routes_to_complement():
-    terms = [[ClickTerm(1.0, 3.0, 0.2)]]
-    prof = apply_visibility(terms, 0.0, 0.0, 10)
-    assert prof.per_detector[0] == pytest.approx(p_click(0.2), rel=1e-12)
 
 
 # --- four-party, equal channels ----------------------------------------------
