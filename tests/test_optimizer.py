@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,8 @@ from qfnet.core import (
 from qfnet.complexity import q_total
 from qfnet import optimizer
 from qfnet.optimizer import OptimizationProblem, evaluate_fixed, optimize
-from qfnet.stats import best_threshold
+from qfnet.probmodel import four_party_asymmetric
+from qfnet.stats import CountModel, best_threshold
 
 
 def small_sym4(epsilon=1e-6):
@@ -252,3 +254,57 @@ def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evalu
     second = optimize(problem)
     assert len(calls) == len(first_calls)  # nothing carried over between calls
     assert first.trace["evaluations"] == second.trace["evaluations"] == evaluations
+
+
+def _worst_best_error(equal, different):
+    # Worst detector error at each detector's best threshold, and those thresholds.
+    choices = [
+        best_threshold(CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df))
+        for p_eq, p_df in zip(equal.per_detector, different.per_detector)
+    ]
+    return max(c.p_e for c in choices), tuple(c.threshold for c in choices)
+
+
+def _smallest_feasible_scale(feasible, start, stop, grid):
+    # A x1.05 ladder from start, then a log-bisection to grid; None when the
+    # ladder passes stop without reaching a feasible scale.
+    below, scale = None, start
+    while not feasible(scale):
+        if scale > stop:
+            return None
+        below, scale = scale, scale * 1.05
+    while below is not None and scale / below > 1.0 + grid:
+        mid = math.sqrt(below * scale)
+        if feasible(mid):
+            scale = mid
+        else:
+            below = mid
+    return scale
+
+
+@pytest.mark.parametrize("label", ["T_asym4", "desk4 nu=0.992", "desk4 nu=0.9845"])
+def test_four_party_runs_beat_nearby_rays(label):
+    # Around each returned run, 64 log-normally perturbed directions; along
+    # each, the smallest feasible scale from 0.9x the returned norm must cost
+    # no less than the returned run, within 2*grid.  A ladder that passes
+    # twice the returned norm gives up: beyond it every point costs more than
+    # the returned run (below visibility 1 some directions are infeasible at
+    # every scale).
+    problem = _pinned_problem(label)
+    eps, grid = problem.pp.epsilon, problem.grid
+    rng = random.Random(label)
+    for run_index, rc in enumerate(optimize(problem).per_run, start=1):
+        norm = math.hypot(*rc.alphas)
+        for _ in range(64):
+            direction = [a * math.exp(rng.gauss(0.0, 0.15)) for a in rc.alphas]
+            length = math.hypot(*direction)
+            unit = [d / length for d in direction]
+
+            def feasible(scale):
+                alphas = [scale * u for u in unit]
+                pair = four_party_asymmetric(run_index, alphas, problem.ch, problem.pp)
+                return _worst_best_error(*pair)[0] <= eps
+
+            scale = _smallest_feasible_scale(feasible, 0.9 * norm, 2.0 * norm, grid)
+            if scale is not None:
+                assert scale**2 >= norm**2 * (1.0 - 2.0 * grid), (run_index, unit)
