@@ -6,13 +6,14 @@ with thresholds re-selected by stats.best_threshold at every candidate point.
 That search starts at the count where the two count laws give equal
 probability, within a count or two of the crossing it looks for, so a
 detector costs about 4 tail evaluations where one over the whole count range
-takes 40-94.  One optimize() call keeps each choice by the detector's (Equal,
-Different) pulses and probabilities, so a detector whose probabilities repeat
-within the search costs no tail evaluations; a descent step on one amplitude
-leaves most detectors' probabilities as they were.  A geometric ladder finds
-the first feasible scale along an amplitude ray and a log-bisection narrows
-the bracket below it; asymmetric channels then get a per-coordinate descent
-that walks each amplitude down while feasibility holds.
+takes 40-94.  A geometric ladder finds the first feasible scale along the ray
+that equalizes the attenuated amplitudes sqrt(eta_k)*alpha_k and a
+log-bisection narrows the bracket below it: that is a four-party run's point.
+A two-party run over unequal transmissions then gets a per-coordinate descent
+that walks each amplitude down while feasibility holds.  One optimize() call
+chooses a threshold once per distinct (Equal, Different) pulses and
+probabilities of a detector: on the ray detectors 2 and 4 share them, and
+later four-party runs revisit the first run's ray points.
 
 The error trends down along a ray (more photons separate the hypotheses
 better) but is not monotone: the integer threshold lattice makes it step up
@@ -158,12 +159,9 @@ def _optimize_run(
     lo, hi = problem.bounds
     eps = problem.pp.epsilon
     n_var = problem.pp.N
-    sqrt_eta = problem.ch.sqrt_eta
-    symmetric = problem.ch.symmetric()
-    # Search ray: equalize the attenuated amplitudes sqrt(eta_k)*alpha_k
-    # across senders (uniform when the channel is symmetric), normalized so
-    # the largest coordinate equals the scale.
-    ray = [1.0] * n_var if symmetric else [1.0 / s for s in sqrt_eta]
+    # Search ray: equal attenuated amplitudes sqrt(eta_k)*alpha_k, normalized
+    # so the largest coordinate equals the scale.
+    ray = [1.0 / s for s in problem.ch.sqrt_eta]
     top = max(ray)
     ray = [r / top for r in ray]
 
@@ -205,10 +203,11 @@ def _optimize_run(
         feasible_scale = narrow(prev, feasible_scale, at)
     alphas = list(at(feasible_scale))
 
-    # Phase B: per-coordinate descent.  Along the uniform ray on a symmetric
-    # channel the minimal feasible scale already minimizes the symmetric
-    # cost, so the descent is only needed for unequal transmissions.
-    if not symmetric:
+    # Phase B: per-coordinate descent, for two senders over unequal
+    # transmissions only: on a symmetric channel the uniform ray's minimal
+    # scale minimizes the cost, and on four-party channels nearby rays find
+    # nothing cheaper beyond grid (test_four_party_runs_beat_nearby_rays).
+    if n_var == 2 and not problem.ch.symmetric():
         for _ in range(8):
             improved = False
             for k in range(n_var):
