@@ -12,9 +12,11 @@ pattern across the groups, with sender 1's group as the phase reference.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -128,8 +130,9 @@ class ChannelModel:
                 raise DomainError(f"sqrt_eta entries must lie in (0, 1], got {s!r}")
         return cls(tuple(float(s) ** 2 for s in sqrt_eta), dark_count, visibility)
 
-    @property
+    @cached_property
     def sqrt_eta(self) -> tuple[float, ...]:
+        # Computed from the stored eta, once per channel: every profile reads it.
         return tuple(math.sqrt(e) for e in self.eta)
 
     @property
@@ -440,6 +443,17 @@ def relationship_profile(
     return PatternFractions(d12, d34, d_single, d_pairs, d_total)
 
 
+def _integers(values: Sequence, field: str) -> tuple[int, ...]:
+    # Integral numbers only (ints, numpy integers, 2.0): 2.7 and "3" are not
+    # truncated or parsed.
+    for v in values:
+        if not isinstance(v, numbers.Integral) and not (
+            isinstance(v, numbers.Real) and float(v).is_integer()
+        ):
+            raise DomainError(f"{field} entries must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One interferometer run: amplitudes, port order, decision thresholds.
@@ -457,8 +471,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "pairing", tuple(int(p) for p in self.pairing))
-        object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
+        object.__setattr__(self, "pairing", _integers(self.pairing, "pairing"))
+        object.__setattr__(self, "thresholds", _integers(self.thresholds, "thresholds"))
         n = len(self.alphas)
         if sorted(self.pairing) != list(range(1, n + 1)):
             raise DomainError(

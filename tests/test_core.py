@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -252,6 +253,19 @@ def test_channel_model_round_trip():
     assert ChannelModel(eta=(0.5, 0.5, 0.5, 0.5)).symmetric()
 
 
+def test_channel_model_sqrt_eta_is_computed_once_from_eta():
+    ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-10)
+    assert ch.eta[1] == 0.16000000000000003  # the stored value, not 0.4**2 exactly
+    assert ch.sqrt_eta == tuple(math.sqrt(e) for e in ch.eta)
+    assert ch.sqrt_eta is ch.sqrt_eta
+    # a computed value, not a field: construction, repr, == and hash ignore it
+    twin = ChannelModel(ch.eta, dark_count=1e-10)
+    assert twin == ch and hash(twin) == hash(ch)
+    assert repr(ch) == repr(twin) == (
+        "ChannelModel(eta=(0.09, 0.16000000000000003), dark_count=1e-10, visibility=1.0)"
+    )
+
+
 def test_channel_model_validation():
     with pytest.raises(DomainError):
         ChannelModel(eta=(0.5,))
@@ -303,6 +317,31 @@ def test_run_config_validation():
         RunConfig(alphas=(-1.0, 2.0), pairing=(1, 2), thresholds=(5,))
     with pytest.raises(DomainError):
         RunConfig(alphas=(1.0, 2.0), pairing=(1, 2), thresholds=(-1,))
+
+
+@pytest.mark.parametrize(
+    "pairing, thresholds",
+    [
+        ((1, 2), (2.7,)),
+        ((1.9, 2.2), (5,)),
+        ((1, 2), ("3",)),
+        (("1", 2), (5,)),
+        ((1, 2), (math.nan,)),
+        ((1, 2), (math.inf,)),
+        ((1, 2), (None,)),
+    ],
+)
+def test_run_config_rejects_non_integral_fields(pairing, thresholds):
+    with pytest.raises(DomainError, match="must be integers"):
+        RunConfig(alphas=(1.0, 2.0), pairing=pairing, thresholds=thresholds)
+
+
+def test_run_config_accepts_integral_numbers():
+    thresholds = (5.0, np.int64(6), np.float64(7.0))
+    rc = RunConfig((1.0, 2.0, 3.0, 4.0), np.array([1, 2, 3, 4]), thresholds)
+    assert rc.pairing == (1, 2, 3, 4)
+    assert rc.thresholds == (5, 6, 7)
+    assert all(type(x) is int for x in rc.pairing + rc.thresholds)
 
 
 def test_check_schedule():
