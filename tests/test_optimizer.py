@@ -19,7 +19,7 @@ from qfnet.core import (
 from qfnet.complexity import q_total
 from qfnet import optimizer
 from qfnet.optimizer import OptimizationProblem, evaluate_fixed, optimize
-from qfnet.probmodel import four_party_asymmetric
+from qfnet.probmodel import four_party_asymmetric, two_party_asymmetric
 from qfnet.stats import CountModel, best_threshold
 
 
@@ -309,3 +309,29 @@ def test_four_party_runs_beat_nearby_rays(label):
             scale = _smallest_feasible_scale(feasible, 0.9 * norm, 2.0 * norm, grid)
             if scale is not None:
                 assert scale**2 >= norm**2 * (1.0 - 2.0 * grid), (run_index, unit)
+
+
+def test_two_party_ray_error_is_not_monotone():
+    # desk-optimize's seed-2 two-bit channel.  Along its equal-attenuated ray
+    # the worst error at the best thresholds is feasible at scale 8.78,
+    # infeasible at 9.00 and feasible again at 9.05, where the threshold
+    # steps from 12 to 13.  The ray's ladder and log-bisection alone stop at
+    # q_r 2 707.80, above the feasible 8.78; the per-coordinate descent
+    # takes the two-party search down to 2 536.29.
+    pp = ProtocolParams(**_DESK_PROTOCOL, N=2)
+    ch = ChannelModel.from_sqrt_eta((0.811, 0.938), _DESK_DARK_COUNT, 0.9855)
+    inverse = [1.0 / s for s in ch.sqrt_eta]
+    ray = [r / max(inverse) for r in inverse]
+    assert ray[0] == 1.0 and ray[1] == pytest.approx(0.86461, abs=1e-5)
+    walk = {8.78: (True, 12, 9.81e-4), 9.00: (False, 12, 1.0013e-3), 9.05: (True, 13, 9.78e-4)}
+    for scale, (feasible, threshold, p_e) in walk.items():
+        alphas = [scale * r for r in ray]
+        pair = two_party_asymmetric(alphas, ch, pp, Encoding.TWO_BIT)
+        worst, thresholds = _worst_best_error(*pair)
+        assert thresholds == (threshold,)
+        assert worst == pytest.approx(p_e, rel=5e-4)
+        assert (worst <= pp.epsilon) == feasible
+    res = optimize(OptimizationProblem(pp=pp, ch=ch, encoding=Encoding.TWO_BIT))
+    assert res.feasible
+    assert res.q_r == pytest.approx(2536.29, abs=0.01)
+    assert res.q_r < q_total([RunConfig([8.78 * r for r in ray], (1, 2), (12,))], pp.n)
