@@ -260,7 +260,9 @@ def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evalu
 def _worst_best_error(equal, different):
     # Worst detector error at each detector's best threshold, and those thresholds.
     choices = [
-        best_threshold(CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df))
+        best_threshold(
+            CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df)
+        )
         for p_eq, p_df in zip(equal.per_detector, different.per_detector)
     ]
     return max(c.p_e for c in choices), tuple(c.threshold for c in choices)
