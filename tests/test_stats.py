@@ -525,6 +525,31 @@ def test_published_thresholds_under_code_rate_convention():
     ]
 
 
+def test_t_asym4_detector_3_errs_at_the_published_amplitudes():
+    """T_asym4 at its published amplitudes, with m = n/c as above.
+
+    At their own best thresholds detectors 2 and 4 err with probability at
+    most 1.01e-5 to three significant figures (epsilon is 1e-5; the largest
+    is run 2's detector 2 at 1.0130e-5).  Detector 3 at its own best
+    threshold still errs with probability 0.0526, 0.104 and 0.187 in runs
+    1-3 under the model's single-flip Different hypothesis.
+    """
+    bench = BENCHMARKS["T_asym4"]
+    pp = dataclasses.replace(bench.pp, c=1 / bench.pp.c)
+    detector_3 = []
+    for run_index, rc in enumerate(bench.runs, start=1):
+        equal, different = four_party_asymmetric(run_index, rc.alphas, bench.ch, pp)
+        errors = []
+        for p_eq, p_df in zip(equal.per_detector, different.per_detector):
+            choice = best_threshold(
+                CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df)
+            )
+            errors.append(float(f"{choice.p_e:.3g}"))  # three significant figures
+        assert errors[0] <= 1.01e-5 and errors[2] <= 1.01e-5
+        detector_3.append(errors[1])
+    assert detector_3 == [0.0526, 0.104, 0.187]
+
+
 # --- protocol error over runs ------------------------------------------------
 
 
