@@ -12,8 +12,9 @@ log-bisection narrows the bracket below it: that is a four-party run's point.
 A two-party run over unequal transmissions then gets a per-coordinate descent
 that walks each amplitude down while feasibility holds.  One optimize() call
 chooses a threshold once per distinct (Equal, Different) pulses and
-probabilities of a detector: on the ray detectors 2 and 4 share them, and
-later four-party runs revisit the first run's ray points.
+probabilities of a detector: on the ray detectors 2 and 4 often share them,
+and later four-party runs revisit the first run's ray points, where most
+probabilities repeat to the bit (T_asym4: 252 lookups, 70 choices).
 
 The error trends down along a ray (more photons separate the hypotheses
 better) but is not monotone: the integer threshold lattice makes it step up

@@ -235,10 +235,10 @@ def test_optimize_output_is_pinned(label):
 
 @pytest.mark.parametrize("label, evaluations", [("T_asym4", 84), ("desk4 nu=0.9845", 69)])
 def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evaluations):
-    # Along the ray detectors 2 and 4 share their (Equal, Different)
-    # probabilities, and later runs revisit the first run's ray points; the
-    # search must not choose their thresholds again, and must not keep the
-    # choices past one call.
+    # Along the ray detectors 2 and 4 often share their (Equal, Different)
+    # probabilities, and later runs revisit the first run's ray points, where
+    # most probabilities repeat to the bit; the search must not choose their
+    # thresholds again, and must not keep the choices past one call.
     calls = []
 
     def counting(equal, different):
