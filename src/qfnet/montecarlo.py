@@ -12,20 +12,29 @@ relationship is compared with the truth; each distinct outcome pattern
 (packed into one integer code per trial) is resolved once.
 
 Randomness uses counter-based Philox streams keyed by (seed, trial), so any
-subset of trials can be reproduced independently and parallel execution
-would draw identical numbers.  Each trial draws every scheduled run in one
-vectorized call, in schedule order, so the runs the referee skips come after
-the executed ones in the trial's stream and change none of their counts.
-The counts of a campaign are held as one int64 array: 8 * runs * N bytes per
-trial (96 B for four senders).  One Philox generator serves the whole
-campaign, re-keyed per trial; the raw region cells are summed per block of
-trials.  Neither changes any trial's stream.
+subset of trials can be reproduced independently.  Each trial draws every
+scheduled run in one vectorized call, in schedule order, so the runs the
+referee skips come after the executed ones in the trial's stream and change
+none of their counts.  The counts of a campaign are held as one int64 array:
+8 * runs * N bytes per trial (96 B for four senders).  One Philox generator
+serves each contiguous range of trials, re-keyed per trial; the raw region
+cells are summed per block of trials.  Neither changes any trial's stream.
+
+A campaign of at least 2 * _MIN_WORKER_TRIALS trials is drawn by one process
+per usable CPU: the counts then live in an anonymous shared mapping, forked
+children each fill one contiguous range of trials in place, and the caller
+draws the first range itself.  Each trial's counts come from its own key, so
+the output does not depend on the number of CPUs.  The draw stays in one
+process where forking is unsafe or unavailable: another thread is alive, the
+caller is a daemonic process, or the platform has no fork start method.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,6 +62,9 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_TRIALS = 1024  # trials whose raw region cells are held at once
+# Trials per worker process: a fork and a join (a few ms) stay under ~10% of
+# one worker's share at 20-35 us per trial.
+_MIN_WORKER_TRIALS = 2048
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -142,33 +154,102 @@ class TrialReport:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
 
 
-def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -> np.ndarray:
-    """Detector counts of every scheduled run: (trials, runs, N) int64.
+def _draw_range(
+    n_col: np.ndarray, click: np.ndarray, seed: int, start: int, out: np.ndarray
+) -> None:
+    """Draw trials start .. start + len(out) into out, a (trials, runs, N) int64 view.
 
     click[run, region, detector] are the click probabilities and n_col the
     pulses per region (a column); trial t draws all cells in one call from
     Philox(key=[seed, t + 1]) and sums them over the regions.
 
     A Philox stream is fixed by its key and counter, so one generator is
-    built per campaign and re-keyed per trial by restoring its fresh state
-    with the trial's key: the same stream as a new generator, without the
+    built per range and re-keyed per trial by restoring its fresh state with
+    the trial's key: the same stream as a new generator, without the
     constructor's cost.  The raw cells of up to _BLOCK_TRIALS trials are
     summed over the regions in one call per block.
     """
+    trials = len(out)
     runs, regions, detectors = click.shape
-    counts = np.empty((trials, runs, detectors), dtype=np.int64)
     raw = np.empty((min(trials, _BLOCK_TRIALS), runs, regions, detectors), dtype=np.int64)
-    bitgen = np.random.Philox(key=[seed, 1])
+    bitgen = np.random.Philox(key=[seed, start + 1])
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0, empty buffer
     key = fresh["state"]["key"]
-    for start in range(0, trials, _BLOCK_TRIALS):
-        block = raw[: min(trials - start, _BLOCK_TRIALS)]
+    for lo in range(0, trials, _BLOCK_TRIALS):
+        block = raw[: min(trials - lo, _BLOCK_TRIALS)]
         for i in range(len(block)):
-            key[1] = start + i + 1
+            key[1] = start + lo + i + 1
             bitgen.state = fresh
             block[i] = rng.binomial(n_col, click)
-        block.sum(axis=2, out=counts[start : start + len(block)])
+        block.sum(axis=2, out=out[lo : lo + len(block)])
+
+
+def _worker_count(trials: int) -> int:
+    """Processes to draw a campaign on: 1 unless forking is safe and pays."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, trials // _MIN_WORKER_TRIALS)
+    # A thread may hold a lock at the fork that no thread of the child releases.
+    if workers < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    # A daemonic process may not have children.
+    return 1 if multiprocessing.current_process().daemon else workers
+
+
+def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -> np.ndarray:
+    """Detector counts of every scheduled run: (trials, runs, N) int64.
+
+    With one worker (_worker_count) the trials are drawn in this process.
+    With W >= 2 the counts live in an anonymous shared mapping split into W
+    contiguous ranges of trials: W - 1 forked children fill the later ones in
+    place while this process draws the first, then joins them.  Every trial
+    is drawn from its own key either way, so the counts do not depend on W.
+    A child that exits non-zero would leave its range unwritten, so it makes
+    the draw raise; on any error the children still running are terminated.
+    """
+    runs, _, detectors = click.shape
+    shape = (trials, runs, detectors)
+    workers = _worker_count(trials)
+    if workers == 1:
+        counts = np.empty(shape, dtype=np.int64)
+        _draw_range(n_col, click, seed, 0, counts)
+        return counts
+
+    import mmap
+    import multiprocessing
+
+    shared = mmap.mmap(-1, 8 * trials * runs * detectors)  # MAP_SHARED | MAP_ANONYMOUS
+    counts = np.frombuffer(shared, dtype=np.int64).reshape(shape)
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            child = context.Process(
+                target=_draw_range, args=(n_col, click, seed, lo, counts[lo:hi])
+            )
+            child.start()
+            children.append(child)
+        _draw_range(n_col, click, seed, 0, counts[: bounds[1]])
+        for child in children:
+            child.join()
+    except BaseException:
+        for child in children:
+            child.terminate()
+            child.join()
+        raise
+    failed = [(lo, child.exitcode) for lo, child in zip(bounds[1:], children) if child.exitcode]
+    for child in children:
+        child.close()
+    if failed:
+        raise RuntimeError(
+            "trial draw workers failed: "
+            + ", ".join(f"trials from {lo} exited with code {code}" for lo, code in failed)
+        )
     return counts
 
 

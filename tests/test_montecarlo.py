@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,12 +21,15 @@ from qfnet.core import (
     run_pairing,
     worst_case_regions,
 )
+from qfnet import montecarlo
 from qfnet.montecarlo import (
     _BLOCK_TRIALS,
+    _MIN_WORKER_TRIALS,
     TrialReport,
     TrialSpec,
     _apportion,
     _draw_counts,
+    _draw_range,
     simulate,
     wilson_interval,
 )
@@ -301,6 +307,169 @@ def test_trial_prefix_reproduces(desk_setup):
         np.testing.assert_array_equal(full[:k], _draw_counts(n_col, click, spec.seed, k))
 
 
+def _range_counts(n_col, click, seed, start, stop):
+    out = np.empty((stop - start, click.shape[0], click.shape[2]), dtype=np.int64)
+    _draw_range(n_col, click, seed, start, out)
+    return out
+
+
+def test_trial_ranges_reproduce(desk_setup):
+    # any contiguous split, drawn range by range, is the one-range draw
+    spec = desk_spec("AABC", desk_setup)
+    n_col, click = _schedule_click(spec)
+    trials = 2 * _BLOCK_TRIALS + 700
+    whole = _range_counts(n_col, click, spec.seed, 0, trials)
+    # uneven pieces; 37..1029 and 1029..2100 cross block boundaries
+    bounds = (0, 1, 37, _BLOCK_TRIALS + 5, 2_100, trials)
+    pieces = [_range_counts(n_col, click, spec.seed, a, b) for a, b in zip(bounds, bounds[1:])]
+    np.testing.assert_array_equal(np.concatenate(pieces), whole)
+    # a suffix that does not start at 0 or on a block boundary
+    np.testing.assert_array_equal(_range_counts(n_col, click, spec.seed, 777, trials), whole[777:])
+
+
+def test_range_builds_one_bit_generator(desk_setup, monkeypatch):
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    spec = desk_spec("ABCD", desk_setup)
+    n_col, click = _schedule_click(spec)
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    for start, stop in ((0, 5), (5, _BLOCK_TRIALS + 9), (3_000, 3_001)):
+        _range_counts(n_col, click, spec.seed, start, stop)
+    assert len(built) == 3
+
+
+# --- parallel draw -----------------------------------------------------------
+#
+# A campaign of at least 2 * _MIN_WORKER_TRIALS trials is drawn by forked
+# workers, one contiguous range of trials each, into one shared buffer.
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_draw_matches_serial(desk_setup, monkeypatch, workers):
+    spec = desk_spec("ABBA", desk_setup, trials=2_500)
+    n_col, click = _schedule_click(spec)
+    serial = _draw_counts(n_col, click, spec.seed, spec.trials)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda trials: workers)
+    np.testing.assert_array_equal(_draw_counts(n_col, click, spec.seed, spec.trials), serial)
+    for label in sorted(_PINNED_MULTI_BLOCK):
+        assert _digest(simulate(_multi_block_spec(desk_setup, label))) == _PINNED_MULTI_BLOCK[label]
+    assert not multiprocessing.active_children()
+
+
+def _exit_in_child(parent, how):
+    real = _draw_range
+
+    def draw(n_col, click, seed, start, out):
+        if os.getpid() == parent:
+            return real(n_col, click, seed, start, out)
+        if how == "raise":
+            raise MemoryError("worker out of memory")
+        os._exit(3)
+
+    return draw
+
+
+@pytest.mark.parametrize("how", ["exit", "raise"])
+def test_failed_worker_fails_the_campaign(desk_setup, monkeypatch, how):
+    # an unwritten range would read as zero counts: no report may come back
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda trials: 3)
+    monkeypatch.setattr(montecarlo, "_draw_range", _exit_in_child(os.getpid(), how))
+    with pytest.raises(RuntimeError, match="exited with code"):
+        simulate(_multi_block_spec(desk_setup, "AABC"))
+    assert not multiprocessing.active_children()
+
+
+def test_failed_caller_range_stops_the_workers(desk_setup, monkeypatch):
+    parent = os.getpid()
+
+    def draw(n_col, click, seed, start, out):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        threading.Event().wait(60)  # a worker still drawing
+
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda trials: 2)
+    monkeypatch.setattr(montecarlo, "_draw_range", draw)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(_multi_block_spec(desk_setup, "AABC"))
+    assert not multiprocessing.active_children()
+
+
+def _forbid_fork(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the draw forked")
+
+    monkeypatch.setattr(multiprocessing, "get_context", fail)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    # so that only the condition under test keeps a draw in one process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert montecarlo._worker_count(4 * _MIN_WORKER_TRIALS) == 4
+
+
+def test_one_cpu_draws_serially(desk_setup, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _forbid_fork(monkeypatch)
+    assert montecarlo._worker_count(100 * _MIN_WORKER_TRIALS) == 1
+
+
+def test_small_campaign_draws_serially(four_cpus, monkeypatch):
+    _forbid_fork(monkeypatch)
+    assert montecarlo._worker_count(2 * _MIN_WORKER_TRIALS - 1) == 1
+    assert montecarlo._worker_count(3 * _MIN_WORKER_TRIALS - 1) == 2
+
+
+def test_threaded_caller_draws_serially(desk_setup, four_cpus, monkeypatch):
+    spec = desk_spec("AABC", desk_setup)
+    n_col, click = _schedule_click(spec)
+    trials = 2 * _MIN_WORKER_TRIALS
+    want = _range_counts(n_col, click, spec.seed, 0, trials)
+    _forbid_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        counts = _draw_counts(n_col, click, spec.seed, trials)
+    finally:
+        release.set()
+        thread.join()
+    np.testing.assert_array_equal(counts, want)
+
+
+def test_no_fork_method_draws_serially(four_cpus, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    _forbid_fork(monkeypatch)
+    assert montecarlo._worker_count(4 * _MIN_WORKER_TRIALS) == 1
+
+
+def _draw_in_daemon(n_col, click, seed, trials, want):
+    # runs in a daemonic child, which may not fork children of its own
+    def fail(*args, **kwargs):
+        raise AssertionError("the draw forked")
+
+    multiprocessing.get_context = fail
+    np.testing.assert_array_equal(_draw_counts(n_col, click, seed, trials), want)
+
+
+def test_daemonic_caller_draws_serially(desk_setup, four_cpus):
+    spec = desk_spec("AABC", desk_setup)
+    n_col, click = _schedule_click(spec)
+    trials = 2 * _MIN_WORKER_TRIALS
+    want = _range_counts(n_col, click, spec.seed, 0, trials)
+    child = multiprocessing.get_context("fork").Process(
+        target=_draw_in_daemon, args=(n_col, click, spec.seed, trials, want), daemon=True
+    )
+    child.start()
+    child.join()
+    assert child.exitcode == 0
+
+
 # --- pinned output -----------------------------------------------------------
 
 # sha256 of TrialReport.to_json() for small campaigns.  A change to
@@ -350,10 +519,9 @@ def test_simulate_four_party_output_is_pinned(desk_setup, label, channel):
     assert _digest(simulate(spec)) == _PINNED_FOUR_PARTY[label, channel]
 
 
-@pytest.mark.parametrize("label", sorted(_PINNED_MULTI_BLOCK))
-def test_simulate_multi_block_output_is_pinned(desk_setup, label):
-    pp, _, runs = desk_setup
-    spec = TrialSpec(
+def _multi_block_spec(desk, label):
+    pp, _, runs = desk
+    return TrialSpec(
         rel=Relationship.from_label(label),
         pp=pp,
         ch=_LOSSY_CHANNEL,
@@ -361,7 +529,11 @@ def test_simulate_multi_block_output_is_pinned(desk_setup, label):
         trials=2_500,
         seed=DESK_SEED,
     )
-    assert _digest(simulate(spec)) == _PINNED_MULTI_BLOCK[label]
+
+
+@pytest.mark.parametrize("label", sorted(_PINNED_MULTI_BLOCK))
+def test_simulate_multi_block_output_is_pinned(desk_setup, label):
+    assert _digest(simulate(_multi_block_spec(desk_setup, label))) == _PINNED_MULTI_BLOCK[label]
 
 
 @pytest.mark.parametrize("label, encoding", sorted(_PINNED_TWO_PARTY))
