@@ -1,6 +1,12 @@
 """Shared fixtures: a desk-scale four-party setup with hand-checkable counts."""
 
 import math
+import os
+
+# One BLAS thread, set before numpy loads (as bench/run.py does): simulate
+# forks, and Python >= 3.12 warns on a fork while a BLAS pool thread is alive.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 
