@@ -237,14 +237,12 @@ def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -
         _draw_range(n_col, click, seed, 0, counts[: bounds[1]])
         for child in children:
             child.join()
-    except BaseException:
+        failed = [(lo, child.exitcode) for lo, child in zip(bounds[1:], children) if child.exitcode]
+    finally:
         for child in children:
-            child.terminate()
+            child.terminate()  # a no-op for a child that has been joined
             child.join()
-        raise
-    failed = [(lo, child.exitcode) for lo, child in zip(bounds[1:], children) if child.exitcode]
-    for child in children:
-        child.close()
+            child.close()
     if failed:
         raise RuntimeError(
             "trial draw workers failed: "
