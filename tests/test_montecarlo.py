@@ -399,11 +399,12 @@ def test_failed_caller_range_stops_the_workers(desk_setup, monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def _forbid_fork(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("the draw forked")
+def _no_fork(*args, **kwargs):
+    raise AssertionError("the draw forked")
 
-    monkeypatch.setattr(multiprocessing, "get_context", fail)
+
+def _forbid_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
 
 
 @pytest.fixture
@@ -450,10 +451,7 @@ def test_no_fork_method_draws_serially(four_cpus, monkeypatch):
 
 def _draw_in_daemon(n_col, click, seed, trials, want):
     # runs in a daemonic child, which may not fork children of its own
-    def fail(*args, **kwargs):
-        raise AssertionError("the draw forked")
-
-    multiprocessing.get_context = fail
+    multiprocessing.get_context = _no_fork
     np.testing.assert_array_equal(_draw_counts(n_col, click, seed, trials), want)
 
 
