@@ -20,10 +20,11 @@ none of their counts.  The counts of a campaign are held as one int64 array:
 serves each contiguous range of trials, re-keyed per trial; the raw region
 cells are summed per block of trials.  Neither changes any trial's stream.
 
-A campaign of at least 2 * _MIN_WORKER_TRIALS trials is drawn by one process
-per usable CPU: the counts then live in an anonymous shared mapping, forked
-children each fill one contiguous range of trials in place, and the caller
-draws the first range itself.  Each trial's counts come from its own key, so
+A campaign of at least 2 * _MIN_WORKER_TRIALS trials is drawn by up to one
+process per usable CPU, each with at least _MIN_WORKER_TRIALS trials: the
+counts then live in an anonymous shared mapping, forked children each fill
+one contiguous range of trials in place, and the caller draws the first
+range itself.  Each trial's counts come from its own key, so
 the output does not depend on the number of CPUs.  The draw stays in one
 process where forking is unsafe or unavailable: another thread is alive, the
 caller is a daemonic process, or the platform has no fork start method.
