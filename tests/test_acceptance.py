@@ -28,7 +28,6 @@ from qfnet.core import (
     run_pairing,
 )
 from qfnet.decision import (
-    ABCD_SIGNATURES,
     DecisionOutcome,
     decision_table_rows,
     forward_signature,
@@ -301,6 +300,9 @@ _PUBLISHED_TABLE = {
     "ABCD": (0, ("111", "111", "111")),
 }
 
+# The four published signatures of the all-distinct relationship.
+_PUBLISHED_ABCD = (("101", "111"), ("111", "101"), ("111", "111", "101"), ("111", "111", "111"))
+
 _PUBLISHED_THREE_PARTY = [
     ("AAA", "AAAA", "000", 4),
     ("AAB", "AABA", "011", 3),
@@ -334,7 +336,7 @@ def test_criterion_5_decision_round_trip_and_tables():
         else:
             f_r, published_sig = _PUBLISHED_TABLE[row["canonical"]]
             ok = ok and row["f_r"] == f_r and sig == published_sig
-    ok = ok and abcd_sets == set(ABCD_SIGNATURES)
+    ok = ok and abcd_sets == set(_PUBLISHED_ABCD)
 
     rows3 = [
         (r["relationship"], r["device_pattern"], r["r1"], r["f_r"])

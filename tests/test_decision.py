@@ -7,7 +7,6 @@ import pytest
 
 from qfnet.core import DomainError, Relationship, enumerate_relationships, run_pairing
 from qfnet.decision import (
-    ABCD_SIGNATURES,
     MODE_REFERENCE,
     MODE_SUM,
     MODE_TWO_DETECTOR,
@@ -46,6 +45,8 @@ TABLE = {
     "ABCC": (1, ("110", "111")),
     "ABCD": (0, ("111", "111", "111")),
 }
+# The four published signatures of the all-distinct relationship.
+ABCD_SIGNATURES = (("101", "111"), ("111", "101"), ("111", "111", "101"), ("111", "111", "111"))
 
 
 # --- outcome bits ------------------------------------------------------------

@@ -337,3 +337,33 @@ def test_two_party_ray_error_is_not_monotone():
     assert res.feasible
     assert res.q_r == pytest.approx(2536.29, abs=0.01)
     assert res.q_r < q_total([RunConfig([8.78 * r for r in ray], (1, 2), (12,))], pp.n)
+
+
+def test_clamped_four_party_runs_differ_across_runs():
+    # Why optimize() searches each run of an asymmetric four-party channel on
+    # its own instead of replicating run 1 as on a symmetric channel.  Sender
+    # 3 has the clearest channel, so the equal-attenuated ray gives it the
+    # smallest amplitude and the lower bound clamps it at 8: its attenuated
+    # amplitude (7.61) then exceeds the other three (6.61).  The detector
+    # that compares sender 3 with its partner sees unequal fields even when
+    # the messages agree, so it takes the highest threshold: detector 4 in
+    # run 1, which pairs (1,2)(3,4), and detector 2 in run 2, which pairs
+    # (1,3)(2,4).  The alphas agree in every run, the thresholds do not, and
+    # run 1's thresholds in every run would miss epsilon ninefold.
+    pp = ProtocolParams(n=500_000, c=0.2, delta=0.22, epsilon=1e-2, N=4)
+    ch = ChannelModel.from_sqrt_eta((0.56, 0.729, 0.951, 0.71))
+    problem = OptimizationProblem(pp=pp, ch=ch, bounds=(8.0, 32768.0))
+    res = optimize(problem)
+    assert res.feasible
+    assert res.p_e == pytest.approx(0.009983, rel=1e-4)
+    assert res.trace["evaluations"] == 39
+    first, second = res.per_run[:2]
+    assert first.alphas[2] == 8.0
+    assert all(rc.alphas == first.alphas for rc in res.per_run)
+    assert (first.thresholds, second.thresholds) == ((1, 3, 6), (6, 3, 1))
+    replicated = [
+        RunConfig(first.alphas, run_pairing(i, 4), first.thresholds) for i in (1, 2, 3)
+    ]
+    audit = evaluate_fixed(replicated, problem)
+    assert audit.p_e == pytest.approx(0.0897, rel=1e-3)
+    assert not audit.feasible
