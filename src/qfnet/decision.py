@@ -8,7 +8,8 @@ runs, and the outcome-bit sequence indexes a lookup table that pins down the
 full relationship f_R.  Three-party instances reuse the four-port device
 with sender 1 duplicated on port 4; two senders read one detector once.
 Each sender count has one flat table from complete outcome sequence to its
-decision, and one resolver serves all three.
+decision; one resolver serves all three, and the exported tables are read
+from them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "MODE_REFERENCE",
     "MODE_SUM",
     "MODE_TWO_DETECTOR",
-    "ABCD_SIGNATURES",
     "outcome_bits",
     "resolve_f_r",
     "resolve_f_ae",
@@ -182,11 +182,6 @@ _PREFIXES = {
     for n, table in _DECISIONS.items()
 }
 
-# The four outcome sequences that identify the all-distinct relationship.
-ABCD_SIGNATURES: tuple[tuple[str, ...], ...] = tuple(
-    sig for sig, f_r in _F_R_BY_SIGNATURE.items() if f_r == 0
-)
-
 
 def relationship_by_f_r(f_r: int) -> Relationship:
     """The four-party relationship a decision label denotes (14 down to 0)."""
@@ -235,14 +230,16 @@ def resolve_schedule(n: int, outcomes: Sequence[Bits]) -> tuple[DecisionOutcome 
     returns its decision and length.  A prefix that neither resolves nor
     leads to a signature is inconsistent: (None, its length).
     """
-    for k in range(1, len(outcomes) + 1):
-        try:
-            verdict = _resolve(n, outcomes[:k])
-        except InconsistentOutcome:
-            return None, k
-        if isinstance(verdict, DecisionOutcome):
-            return verdict, k
-    return None, len(outcomes)
+    table = _DECISIONS[n]
+    width = len(next(iter(table))[0])  # bits per run
+    seq: tuple[str, ...] = ()
+    for outcome in outcomes:
+        seq += (_as_bits(outcome, width),)
+        if seq in table:
+            return table[seq], len(seq)
+        if seq not in _PREFIXES[n]:
+            return None, len(seq)
+    return None, len(seq)
 
 
 def resolve_f_ae(
@@ -353,47 +350,31 @@ def pairwise_run_count(rel: Relationship) -> tuple[int, int]:
 
 
 def decision_table_rows(n_senders: int) -> list[dict[str, object]]:
-    """Exportable decision table.
+    """Exportable decision table: one row per outcome signature, f_R descending.
 
-    For four senders: one row per outcome signature — 14 uniquely-signed
-    relationships plus the four signatures of the all-distinct one.  For
-    three senders: the 5-row single-run table with the port pattern fed to
-    the four-port device.
+    For four senders: the 14 uniquely-signed relationships plus the four
+    signatures of the all-distinct one, with one column per scheduled run.
+    For three senders: the 5-row single-run table with the port pattern fed
+    to the four-port device.  The columns are in export order.
     """
-    if n_senders == 4:
-        rows = []
-        for f_r in sorted(_LABEL_BY_FR, reverse=True):
-            rel = Relationship.from_label(_LABEL_BY_FR[f_r])
-            signatures = [forward_signature(rel)] if f_r else list(ABCD_SIGNATURES)
-            for sig in signatures:
-                padded = list(sig) + [""] * (3 - len(sig))
-                rows.append(
-                    {
-                        "relationship": rel.display_label,
-                        "canonical": rel.canonical_label,
-                        "r1": padded[0],
-                        "r2": padded[1],
-                        "r3": padded[2],
-                        "f_r": f_r,
-                    }
-                )
-        return rows
-    if n_senders == 3:
-        rows = []
-        for (bits,), out in _DECISIONS[3].items():
-            rel3 = out.relationship
+    if n_senders not in (3, 4):
+        raise DomainError(f"decision tables defined for 3 or 4 senders, got {n_senders}")
+    table = _DECISIONS[n_senders]
+    runs = max(map(len, table))
+    rows = []
+    # the sort is stable: the all-distinct signatures keep the table's order
+    for sig, out in sorted(table.items(), key=lambda item: -item[1].f_r):
+        rel = out.relationship
+        row: dict[str, object] = {
+            "relationship": rel.display_label,
+            "canonical": rel.canonical_label,
+        }
+        if n_senders == 3:
             # pattern actually interfered: senders (1, 2, 3, 1) at the ports,
             # lettered by group size like the relationship column
-            disp = rel3.display_label
-            fed = "".join(disp[s - 1] for s in (1, 2, 3, 1))
-            rows.append(
-                {
-                    "relationship": rel3.display_label,
-                    "canonical": rel3.canonical_label,
-                    "device_pattern": fed,
-                    "r1": bits,
-                    "f_r": out.f_r,
-                }
-            )
-        return rows
-    raise DomainError(f"decision tables defined for 3 or 4 senders, got {n_senders}")
+            row["device_pattern"] = "".join(rel.display_label[s - 1] for s in (1, 2, 3, 1))
+        for k in range(runs):
+            row[f"r{k + 1}"] = sig[k] if k < len(sig) else ""
+        row["f_r"] = out.f_r
+        rows.append(row)
+    return rows
