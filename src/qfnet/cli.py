@@ -270,47 +270,43 @@ def _benchmark_payload(bench: Benchmark) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    table_id = args.table
+def _dict_table(rows: Sequence[Mapping[str, Any]]) -> tuple[list[str], list[list[Any]]]:
+    # header and rows of a table whose rows are dicts in column order
+    return list(rows[0]), [list(row.values()) for row in rows]
+
+
+def _reference_table(table_id: str) -> tuple[str, list[str], list[list[Any]]]:
+    """Subject, header and rows of the reference table TE1, TC1 or TV."""
     if table_id == "TE1":
-        rows = decision_table_rows(3)
-        _write_csv(
-            args.out,
-            _meta("table: TE1 (three-party decision table)", "TE1"),
-            ["relationship", "canonical", "device_pattern", "r1", "f_r"],
-            [
-                [r["relationship"], r["canonical"], r["device_pattern"], r["r1"], r["f_r"]]
-                for r in rows
-            ],
-        )
-        return 0
+        return "three-party decision table", *_dict_table(decision_table_rows(3))
     if table_id == "TC1":
-        out_rows = []
+        rows = []
         for f_r in range(14, -1, -1):
             rel = relationship_by_f_r(f_r)
-            t_t, t_m = pairwise_run_count(rel)
-            out_rows.append([rel.display_label, rel.canonical_label, t_t, t_m])
-        _write_csv(
-            args.out,
-            _meta("table: TC1 (pairwise vs multi-party run counts)", "TC1"),
-            ["relationship", "canonical", "t_pairwise", "t_multiparty"],
-            out_rows,
-        )
-        return 0
-    if table_id == "TV":
-        n = 4
-        out_rows = [
-            ["MultiParty", "AE", "1", run_budget(n, "AE", "MultiParty")],
-            ["TwoPartyPairwise", "AE", "N-1", run_budget(n, "AE", "TwoPartyPairwise")],
-            ["MultiParty", "R", "N-1", run_budget(n, "R", "MultiParty")],
-            ["TwoPartyPairwise", "R", "N(N-1)/2", run_budget(n, "R", "TwoPartyPairwise")],
-        ]
-        _write_csv(
-            args.out,
-            _meta("table: TV (worst-case run budgets, evaluated at N=4)", "TV"),
-            ["scheme", "target", "runs_formula", "runs_at_N4"],
-            out_rows,
-        )
+            rows.append([rel.display_label, rel.canonical_label, *pairwise_run_count(rel)])
+        header = ["relationship", "canonical", "t_pairwise", "t_multiparty"]
+        return "pairwise vs multi-party run counts", header, rows
+    budgets = [
+        ("MultiParty", "AE", "1"),
+        ("TwoPartyPairwise", "AE", "N-1"),
+        ("MultiParty", "R", "N-1"),
+        ("TwoPartyPairwise", "R", "N(N-1)/2"),
+    ]
+    return (
+        "worst-case run budgets, evaluated at N=4",
+        ["scheme", "target", "runs_formula", "runs_at_N4"],
+        [
+            [scheme, target, formula, run_budget(4, target, scheme)]
+            for scheme, target, formula in budgets
+        ],
+    )
+
+
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    table_id = args.table
+    if table_id not in BENCHMARKS:
+        subject, header, rows = _reference_table(table_id)
+        _write_csv(args.out, _meta(f"table: {table_id} ({subject})", table_id), header, rows)
         return 0
 
     bench = BENCHMARKS[table_id]
@@ -319,48 +315,25 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     )
     audited = evaluate_fixed(bench.runs, problem)
     optimized = optimize(problem)
-    rows: list[list[Any]] = []
+    n, N, eps = bench.pp.n, bench.pp.N, bench.pp.epsilon
 
-    def rel_diff(a: float, b: float) -> float:
-        return abs(a - b) / abs(b)
+    def against_paper(quantity: str, value: float, optimized_value: Any = "") -> list[Any]:
+        paper = bench.reported[quantity]
+        return [quantity, paper, value, optimized_value, abs(value - paper) / abs(paper), ""]
 
-    rows.append(
-        [
-            "q_r",
-            bench.reported["q_r"],
-            audited.q_r,
-            optimized.q_r,
-            rel_diff(audited.q_r, bench.reported["q_r"]),
-            "",
-        ]
-    )
+    rows = [against_paper("q_r", audited.q_r, optimized.q_r)]
     if "q_r_first_run" in bench.reported:
-        first_q = q_total(bench.runs[:1], bench.pp.n)
-        opt_first = q_total(optimized.per_run[:1], bench.pp.n)
         rows.append(
-            [
-                "q_r_first_run",
-                bench.reported["q_r_first_run"],
-                first_q,
-                opt_first,
-                rel_diff(first_q, bench.reported["q_r_first_run"]),
-                "",
-            ]
+            against_paper(
+                "q_r_first_run", q_total(bench.runs[:1], n), q_total(optimized.per_run[:1], n)
+            )
         )
-    rows.append(
-        ["p_e_published_params", bench.pp.epsilon, audited.p_e, "", "", audited.feasible]
-    )
-    rows.append(
-        ["p_e_optimized", bench.pp.epsilon, "", optimized.p_e, "", optimized.feasible]
-    )
-    c_o = classical_optimal_ae(bench.pp.n, bench.pp.N, bench.pp.epsilon)
-    c_l = classical_limit_ae(bench.pp.n, bench.pp.N, bench.pp.epsilon)
-    rows.append(
-        ["c_o_ae", bench.reported["c_o_ae"], c_o, "", rel_diff(c_o, bench.reported["c_o_ae"]), ""]
-    )
-    rows.append(
-        ["c_l_ae", bench.reported["c_l_ae"], c_l, "", rel_diff(c_l, bench.reported["c_l_ae"]), ""]
-    )
+    rows += [
+        ["p_e_published_params", eps, audited.p_e, "", "", audited.feasible],
+        ["p_e_optimized", eps, "", optimized.p_e, "", optimized.feasible],
+        against_paper("c_o_ae", classical_optimal_ae(n, N, eps)),
+        against_paper("c_l_ae", classical_limit_ae(n, N, eps)),
+    ]
     _write_csv(
         args.out,
         _meta(f"table: {table_id} ({bench.description})", _benchmark_payload(bench)),
@@ -444,16 +417,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_decision_table(args: argparse.Namespace) -> int:
-    rows = decision_table_rows(args.n)
-    if args.n == 4:
-        header = ["relationship", "canonical", "r1", "r2", "r3", "f_r"]
-    else:
-        header = ["relationship", "canonical", "device_pattern", "r1", "f_r"]
+    header, rows = _dict_table(decision_table_rows(args.n))
     _write_csv(
         args.out,
         _meta(f"decision table for {args.n} senders", {"n": args.n}),
         header,
-        [[row[k] for k in header] for row in rows],
+        rows,
     )
     return 0
 
