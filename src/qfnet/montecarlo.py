@@ -15,19 +15,21 @@ Randomness uses counter-based Philox streams keyed by (seed, trial), so any
 subset of trials can be reproduced independently.  Each trial draws every
 scheduled run in one vectorized call, in schedule order, so the runs the
 referee skips come after the executed ones in the trial's stream and change
-none of their counts.  The counts of a campaign are held as one int64 array:
-8 * runs * N bytes per trial (96 B for four senders).  One Philox generator
-serves each contiguous range of trials, re-keyed per trial; the raw region
-cells are summed per block of trials.  Neither changes any trial's stream.
+none of their counts.  The counts of a campaign are held as one int64 array
+in an anonymous shared mapping: 8 * runs * N bytes per trial (96 B for four
+senders).  One Philox generator serves each contiguous range of trials,
+re-keyed per trial; the raw region cells are summed per block of trials.
+Neither changes any trial's stream.
 
-A campaign of at least 2 * _MIN_WORKER_TRIALS trials is drawn by up to one
-process per usable CPU, each with at least _MIN_WORKER_TRIALS trials: the
-counts then live in an anonymous shared mapping, forked children each fill
-one contiguous range of trials in place, and the caller draws the first
-range itself.  Each trial's counts come from its own key, so
-the output does not depend on the number of CPUs.  The draw stays in one
-process where forking is unsafe or unavailable: another thread is alive, the
-caller is a daemonic process, or the platform has no fork start method.
+One driver draws every campaign.  A campaign of at least
+2 * _MIN_WORKER_TRIALS trials is split among up to one process per usable
+CPU, each with at least _MIN_WORKER_TRIALS trials: forked children each fill
+one contiguous range of the shared counts in place, and the caller draws the
+first range itself.  Each trial's counts come from its own key, so the
+output does not depend on the number of CPUs.  A smaller campaign, or one
+where forking is unsafe or unavailable (another thread is alive, the caller
+is a daemonic process, or the platform has no fork start method), is one
+range that the caller draws with no child.
 """
 
 from __future__ import annotations
@@ -204,33 +206,27 @@ def _worker_count(trials: int) -> int:
 def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -> np.ndarray:
     """Detector counts of every scheduled run: (trials, runs, N) int64.
 
-    With one worker (_worker_count) the trials are drawn in this process.
-    With W >= 2 the counts live in an anonymous shared mapping split into W
-    contiguous ranges of trials: W - 1 forked children fill the later ones in
-    place while this process draws the first, then joins them.  Every trial
-    is drawn from its own key either way, so the counts do not depend on W.
-    A child that exits non-zero would leave its range unwritten, so it makes
-    the draw raise; on any error the children still running are terminated.
+    The counts live in an anonymous shared mapping split into W contiguous
+    ranges of trials, W from _worker_count: W - 1 forked children fill the
+    later ones in place while this process draws the first, then joins them.
+    With W = 1 no child is made and this process draws every trial.  Every
+    trial is drawn from its own key either way, so the counts do not depend
+    on W.  A child that exits non-zero would leave its range unwritten, so it
+    makes the draw raise; on any error the children still running are
+    terminated.
     """
-    runs, _, detectors = click.shape
-    shape = (trials, runs, detectors)
-    workers = _worker_count(trials)
-    if workers == 1:
-        counts = np.empty(shape, dtype=np.int64)
-        _draw_range(n_col, click, seed, 0, counts)
-        return counts
-
     import mmap
     import multiprocessing
 
+    runs, _, detectors = click.shape
+    workers = _worker_count(trials)
     shared = mmap.mmap(-1, 8 * trials * runs * detectors)  # MAP_SHARED | MAP_ANONYMOUS
-    counts = np.frombuffer(shared, dtype=np.int64).reshape(shape)
+    counts = np.frombuffer(shared, dtype=np.int64).reshape(trials, runs, detectors)
     bounds = [trials * w // workers for w in range(workers + 1)]
-    context = multiprocessing.get_context("fork")
     children = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            child = context.Process(
+            child = multiprocessing.get_context("fork").Process(
                 target=_draw_range, args=(n_col, click, seed, lo, counts[lo:hi])
             )
             child.start()
