@@ -467,9 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls, so every
+# main() call in one process pays only for its own command.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

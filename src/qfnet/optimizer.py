@@ -9,6 +9,11 @@ detector costs about 4 tail evaluations where one over the whole count range
 takes 40-94.  A geometric ladder finds the first feasible scale along the ray
 that equalizes the attenuated amplitudes sqrt(eta_k)*alpha_k and a
 log-bisection narrows the bracket below it: that is a four-party run's point.
+The ray's largest coordinate equals the scale, and bounds clamp each
+coordinate, so once the upper bound clamps the largest ones the ladder climbs
+on while the smaller ones grow, until the smallest reaches the bound.
+The search never leaves that clamped ray: under a tight upper bound it can
+report infeasible where points off the ray meet epsilon.
 A two-party run over unequal transmissions then gets a per-coordinate descent
 that walks each amplitude down while feasibility holds.  One optimize() call
 chooses a threshold once per distinct (Equal, Different) pulses and
@@ -184,11 +189,13 @@ def _optimize_run(
                 x_lo = mid
         return x_hi
 
-    # Phase A: geometric ladder to the first feasible scale.
+    # Phase A: geometric ladder to the first feasible scale.  It climbs on
+    # while some coordinate is below hi: once hi clamps the largest ones, the
+    # others still grow.
     best_pe, best_alphas, best_ths = math.inf, at(lo), (0,) * n_var
     scale, prev = lo, None
     feasible_scale = None
-    while scale <= hi * (1.0 + 1e-9):
+    while scale * min(ray) <= hi * (1.0 + 1e-9):
         alphas = at(scale)
         pe, ths = evaluate(alphas)
         if pe < best_pe:

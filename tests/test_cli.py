@@ -1,5 +1,6 @@
 """Command-line surface: config validation, exit codes, file outputs."""
 
+import argparse
 import csv
 import hashlib
 import importlib
@@ -42,15 +43,18 @@ def read_csv(text):
     return rows[0], rows[1:]
 
 
+def run_fresh(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this qfnet."""
+    src = str(Path(qfnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs about a second of start-up; the count tails need only
     # scipy.special.  A fresh interpreter shows what the import pulls in.
-    src = str(Path(qfnet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, qfnet.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
+    out = run_fresh("-c", "import sys, qfnet.cli; print('scipy.stats' in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
 
@@ -333,11 +337,70 @@ _PINNED_TABLES = {
 }
 
 
+def _stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("command", sorted(_PINNED_TABLES))
 def test_reference_table_output_is_pinned(capsys, command):
-    assert main(command.split()) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == _PINNED_TABLES[command]
+    assert _stdout_digest(capsys, command.split()) == _PINNED_TABLES[command]
+
+
+def test_one_shot_cli_prints_the_pinned_table():
+    # The parser is built when qfnet.cli is imported; a fresh interpreter
+    # running the module as a script goes through that path once.
+    out = run_fresh("-m", "qfnet.cli", "decision-table", "--n", "4")
+    assert out.returncode == 0, out.stderr
+    digest = hashlib.sha256(out.stdout.encode("utf-8")).hexdigest()
+    assert digest == _PINNED_TABLES["decision-table --n 4"]
+
+    out = run_fresh("-m", "qfnet.cli", "--help")
+    assert out.returncode == 0, out.stderr
+    for command in ("reproduce", "optimize", "simulate", "decision-table"):
+        assert command in out.stdout
+
+
+# --- one parser per process --------------------------------------------------
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["decision-table", "--n", "3"], ["reproduce", "TV"], ["decision-table"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "usage_error", [None, ["reproduce", "T9"], ["decision-table", "--n", "5"]]
+)
+def test_main_leaves_no_state_between_calls(capsys, usage_error):
+    # --n 3, then optionally a call that argparse rejects, then the default --n 4
+    _stdout_digest(capsys, ["decision-table", "--n", "3"])
+    if usage_error:
+        with pytest.raises(SystemExit) as exc:
+            main(usage_error)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert _stdout_digest(capsys, ["decision-table"]) == _PINNED_TABLES["decision-table --n 4"]
+
+
+def test_main_optimize_target_does_not_leak_between_calls(tmp_path, desk_config):
+    lone = tmp_path / "lone.json"
+    out = run_fresh("-m", "qfnet.cli", "optimize", desk_config, "--out", str(lone))
+    assert out.returncode == 0, out.stderr
+    assert main(["optimize", desk_config, "--target", "ae", "--out", str(tmp_path / "ae.json")]) == 0
+    after = tmp_path / "after.json"
+    assert main(["optimize", desk_config, "--out", str(after)]) == 0
+    assert after.read_bytes() == lone.read_bytes()
 
 
 def test_reproduce_audit_rows_t_asym4(capsys):

@@ -367,3 +367,23 @@ def test_clamped_four_party_runs_differ_across_runs():
     audit = evaluate_fixed(replicated, problem)
     assert audit.p_e == pytest.approx(0.0897, rel=1e-3)
     assert not audit.feasible
+
+
+def test_ladder_climbs_past_a_bound_that_clamps_the_largest_amplitude():
+    # The equal-attenuated ray puts its largest coordinate (sender 2, the
+    # dimmest channel) at the scale.  Under hi = 21.7 the unbounded optimum
+    # (top alpha 22.15) is out of reach, but the ray with sender 2 clamped at
+    # hi still meets epsilon once the other three grow: the ladder must climb
+    # on past hi instead of reporting infeasible (p_e 7.2e-3 when it stopped).
+    hi = 21.7
+    problem = OptimizationProblem(
+        pp=ProtocolParams(**_DESK_PROTOCOL, N=4),
+        ch=ChannelModel.from_sqrt_eta((0.704, 0.635, 0.857, 0.815), _DESK_DARK_COUNT, 0.9773),
+        bounds=(1.0, hi),
+    )
+    res = optimize(problem)
+    assert res.feasible
+    assert all(a <= hi for rc in res.per_run for a in rc.alphas)
+    assert all(rc.alphas[1] == hi for rc in res.per_run)
+    assert evaluate_fixed(res.per_run, problem).p_e <= problem.pp.epsilon
+    assert res.q_r == pytest.approx(83_281, rel=1e-4)
