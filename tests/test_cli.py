@@ -336,6 +336,18 @@ _PINNED_TABLES = {
     "decision-table --n 4": "45f626d2e410ef93b1547a10a79dc3bc32d812112557b0df72421dea6beb4473",
 }
 
+# sha256 of stdout of the five bundled audits.  Each hashes the instance's
+# data (through config_hash), the audited published point and the optimizer's
+# own point, so only a change to the bundled data, the physics or the search
+# may move them.
+_PINNED_AUDITS = {
+    "reproduce T3": "faaa42f963f725dccd42afc4fb4fdb66e052d981d9ddbfc065fe97b2a4d23292",
+    "reproduce T4": "924d935e1d44af03cd345671c2104b82e64e8738e1eded494183731eb574fd4f",
+    "reproduce T_twobit": "203f1834e46782b232b1de31a9d4c1a3d5f69ac9b825662cdc72245d9ee2109f",
+    "reproduce T_asym4": "6308ba62384b6509abfe50c7f1ee8cc68bd23890bc61a6ec89b211ce8b1a5dce",
+    "reproduce T_vis": "9c7b98985744c8dbd13de63b65bf46545edf564653e6a8cf809f0b2904ea3595",
+}
+
 
 def _stdout_digest(capsys, argv):
     assert main(argv) == 0
@@ -345,6 +357,11 @@ def _stdout_digest(capsys, argv):
 @pytest.mark.parametrize("command", sorted(_PINNED_TABLES))
 def test_reference_table_output_is_pinned(capsys, command):
     assert _stdout_digest(capsys, command.split()) == _PINNED_TABLES[command]
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_AUDITS))
+def test_bundled_audit_output_is_pinned(capsys, command):
+    assert _stdout_digest(capsys, command.split()) == _PINNED_AUDITS[command]
 
 
 def test_one_shot_cli_prints_the_pinned_table():
