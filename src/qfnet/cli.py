@@ -69,6 +69,8 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -408,11 +410,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "report": report.to_jsonable(),
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    lo, hi = report.wilson_95
-    print(
-        f"correct rate {report.empirical_correct_rate:.6f} "
-        f"(95% Wilson interval [{lo:.6f}, {hi:.6f}]) over {report.trials} trials"
-    )
+    if args.out:
+        lo, hi = report.wilson_95
+        print(
+            f"correct rate {report.empirical_correct_rate:.6f} "
+            f"(95% Wilson interval [{lo:.6f}, {hi:.6f}]) over {report.trials} trials"
+        )
     return 0
 
 

@@ -106,6 +106,10 @@ def test_load_config_files_and_json_errors(tmp_path):
     top.write_text('["a", "b"]')
     with pytest.raises(ConfigError, match="top level"):
         load_config(str(top))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(str(binary))
 
 
 def test_build_channel_requires_exactly_one_transmission_key():
@@ -191,6 +195,17 @@ def test_main_simulate_writes_report_and_summary(tmp_path, desk_config, capsys):
     assert payload["report"]["empirical_correct_rate"] == 1.0
     assert payload["meta"]["relationship"] == "AABC"
     assert payload["meta"]["operating_point"]["feasible"] is True
+
+
+def test_main_simulate_stdout_is_the_json_report(tmp_path, desk_config, capsys):
+    # without --out stdout carries the report alone, byte for byte the file
+    out = tmp_path / "sim.json"
+    assert main(["simulate", desk_config, "--relationship", "AABC", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", desk_config, "--relationship", "AABC"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed) == json.loads(out.read_text())
+    assert printed.encode("utf-8") == out.read_bytes()
 
 
 def test_main_simulate_is_byte_deterministic(tmp_path, desk_config):
