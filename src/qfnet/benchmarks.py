@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import ChannelModel, Encoding, ProtocolParams, RunConfig, run_pairing
 
@@ -30,62 +31,24 @@ class Benchmark:
     reported: dict[str, float]
 
 
-def _sym4() -> Benchmark:
-    pp = ProtocolParams(n=10**13, c=0.2, delta=0.22, epsilon=1e-2, N=4)
-    ch = ChannelModel(eta=(0.1, 0.1, 0.1, 0.1), dark_count=1e-11)
-    alpha = math.sqrt(4961.0)  # published per-sender photon number mu = 4961
-    ths = (602, 553, 602)
+def _bench(table_id: str, description: str, n: int, epsilon: float, ch: ChannelModel,
+           encoding: Encoding, rows: Sequence[tuple[Sequence[float], Sequence[int]]],
+           reported: dict[str, float]) -> Benchmark:
+    """One instance; ``rows`` holds (alphas, thresholds) of each scheduled run."""
+    # Every published row uses expansion c = 0.2 and distance delta = 0.22.
+    pp = ProtocolParams(n=n, c=0.2, delta=0.22, epsilon=epsilon, N=ch.n_senders)
     runs = tuple(
-        RunConfig((alpha,) * 4, run_pairing(s, 4), ths) for s in (1, 2, 3)
-    )
-    return Benchmark(
-        "T3",
-        "four-party symmetric channels",
-        pp,
-        ch,
-        Encoding.SINGLE_BIT,
-        runs,
-        {"q_r": 2.57e6, "c_o_ae": 1.29e10, "c_l_ae": 3.04e6},
-    )
-
-
-def _two_party(encoding: Encoding, alphas, threshold, q_r, visibility=1.0, table_id="T4",
-               description="two-party asymmetric channels") -> Benchmark:
-    pp = ProtocolParams(n=3 * 10**12, c=0.2, delta=0.22, epsilon=1e-5, N=2)
-    ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-10, visibility=visibility)
-    runs = (RunConfig(alphas, (1, 2), (threshold,), encoding),)
-    return Benchmark(
-        table_id,
-        description,
-        pp,
-        ch,
-        encoding,
-        runs,
-        {"q_r": q_r, "c_o_ae": 1.24e10, "c_l_ae": 1.46e6},
-    )
-
-
-def _asym4() -> Benchmark:
-    pp = ProtocolParams(n=10**14, c=0.2, delta=0.22, epsilon=1e-5, N=4)
-    ch = ChannelModel.from_sqrt_eta((0.3, 0.4, 0.5, 0.6), dark_count=1e-11)
-    rows = (
-        ((109.0, 109.0, 69.0, 69.0), (5367, 5700, 5332)),
-        ((97.0, 77.0, 99.0, 78.0), (5519, 5600, 5439)),
-        ((90.0, 84.0, 85.0, 91.0), (5699, 5600, 5347)),
-    )
-    runs = tuple(
-        RunConfig(alphas, run_pairing(s, 4), ths)
+        RunConfig(alphas, run_pairing(s, pp.N), ths, encoding)
         for s, (alphas, ths) in enumerate(rows, start=1)
     )
-    return Benchmark(
-        "T_asym4",
-        "four-party asymmetric channels",
-        pp,
-        ch,
-        Encoding.SINGLE_BIT,
-        runs,
-        {"q_r": 4.43e6, "q_r_first_run": 1.55e6, "c_o_ae": 1.01e11, "c_l_ae": 1.19e7},
-    )
+    return Benchmark(table_id, description, pp, ch, encoding, runs, reported)
+
+
+def _two_party(table_id, description, encoding, alphas, threshold, q_r, visibility=1.0):
+    # the two-party rows share n, epsilon, the channel and the classical bounds
+    ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-10, visibility=visibility)
+    return _bench(table_id, description, 3 * 10**12, 1e-5, ch, encoding, [(alphas, (threshold,))],
+                  {"q_r": q_r, "c_o_ae": 1.24e10, "c_l_ae": 1.46e6})
 
 
 def _build_all() -> dict[str, Benchmark]:
@@ -93,28 +56,27 @@ def _build_all() -> dict[str, Benchmark]:
     # warning for the bundled data, it still fires for user configs.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return {
-            "T3": _sym4(),
-            "T4": _two_party(Encoding.SINGLE_BIT, (85.0, 78.0), 1685, 5.52e5),
-            "T_twobit": _two_party(
-                Encoding.TWO_BIT,
-                (69.0, 70.0),
-                898,
-                3.91e5,
-                table_id="T_twobit",
-                description="two-party, two bits per pulse",
-            ),
-            "T_asym4": _asym4(),
-            "T_vis": _two_party(
-                Encoding.SINGLE_BIT,
-                (88.0, 77.0),
-                1695,
-                5.67e5,
-                visibility=0.99,
-                table_id="T_vis",
-                description="two-party with 0.99 interference visibility",
-            ),
-        }
+        bundled = [
+            _bench("T3", "four-party symmetric channels", 10**13, 1e-2,
+                   ChannelModel(eta=(0.1, 0.1, 0.1, 0.1), dark_count=1e-11), Encoding.SINGLE_BIT,
+                   # published per-sender photon number mu = 4961 in every run
+                   [((math.sqrt(4961.0),) * 4, (602, 553, 602))] * 3,
+                   {"q_r": 2.57e6, "c_o_ae": 1.29e10, "c_l_ae": 3.04e6}),
+            _two_party("T4", "two-party asymmetric channels", Encoding.SINGLE_BIT,
+                       (85.0, 78.0), 1685, 5.52e5),
+            _two_party("T_twobit", "two-party, two bits per pulse", Encoding.TWO_BIT,
+                       (69.0, 70.0), 898, 3.91e5),
+            _bench("T_asym4", "four-party asymmetric channels", 10**14, 1e-5,
+                   ChannelModel.from_sqrt_eta((0.3, 0.4, 0.5, 0.6), dark_count=1e-11),
+                   Encoding.SINGLE_BIT,
+                   [((109.0, 109.0, 69.0, 69.0), (5367, 5700, 5332)),
+                    ((97.0, 77.0, 99.0, 78.0), (5519, 5600, 5439)),
+                    ((90.0, 84.0, 85.0, 91.0), (5699, 5600, 5347))],
+                   {"q_r": 4.43e6, "q_r_first_run": 1.55e6, "c_o_ae": 1.01e11, "c_l_ae": 1.19e7}),
+            _two_party("T_vis", "two-party with 0.99 interference visibility", Encoding.SINGLE_BIT,
+                       (88.0, 77.0), 1695, 5.67e5, visibility=0.99),
+        ]
+    return {bench.table_id: bench for bench in bundled}
 
 
 BENCHMARKS: dict[str, Benchmark] = _build_all()

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict
 from typing import Any, Mapping, Sequence
 
 from . import __version__
@@ -243,25 +244,11 @@ def _meta(subject: str, payload: Any) -> list[str]:
 def _benchmark_payload(bench: Benchmark) -> dict:
     return {
         "table": bench.table_id,
-        "protocol": {
-            "n": bench.pp.n,
-            "c": bench.pp.c,
-            "delta": bench.pp.delta,
-            "epsilon": bench.pp.epsilon,
-            "N": bench.pp.N,
-        },
-        "channel": {
-            "eta": list(bench.ch.eta),
-            "dark_count": bench.ch.dark_count,
-            "visibility": bench.ch.visibility,
-        },
+        "protocol": asdict(bench.pp),
+        "channel": asdict(bench.ch),
         "encoding": bench.encoding.value,
         "runs": [
-            {
-                "alphas": list(rc.alphas),
-                "pairing": list(rc.pairing),
-                "thresholds": list(rc.thresholds),
-            }
+            {"alphas": rc.alphas, "pairing": rc.pairing, "thresholds": rc.thresholds}
             for rc in bench.runs
         ],
     }

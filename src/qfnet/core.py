@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "DomainError",
@@ -171,21 +171,6 @@ class Encoding(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-def _rgs_codes(n: int) -> Iterator[tuple[int, ...]]:
-    # Restricted growth strings of length n in lexicographic order: a[0] = 0
-    # and a[i] <= max(a[:i]) + 1.  One string per set partition.
-    def rec(prefix: list[int], top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for g in range(top + 2):
-            prefix.append(g)
-            yield from rec(prefix, max(top, g))
-            prefix.pop()
-
-    yield from rec([0], 0)
-
-
 @dataclass(frozen=True)
 class Relationship:
     """A set partition of senders 1..n into equality groups.
@@ -228,10 +213,6 @@ class Relationship:
             by_letter.setdefault(letter, []).append(k)
         groups = sorted((frozenset(v) for v in by_letter.values()), key=min)
         return cls(tuple(groups))
-
-    @classmethod
-    def from_groups(cls, groups: Sequence[Sequence[int]]) -> "Relationship":
-        return cls(tuple(sorted((frozenset(g) for g in groups), key=min)))
 
     @property
     def n(self) -> int:
@@ -291,13 +272,12 @@ def enumerate_relationships(n: int) -> list[Relationship]:
     """
     if not isinstance(n, int) or not (2 <= n <= MAX_SENDERS):
         raise DomainError(f"n must be an integer in [2, {MAX_SENDERS}], got {n!r}")
-    out = []
-    for code in _rgs_codes(n):
-        by_group: dict[int, list[int]] = {}
-        for k, g in enumerate(code, start=1):
-            by_group.setdefault(g, []).append(k)
-        out.append(Relationship.from_groups(list(by_group.values())))
-    return out
+    # Restricted growth labels: each new sender joins an open group or opens
+    # the next one.  Extending a sorted list keeps it sorted.
+    labels = ["A"]
+    for _ in range(n - 1):
+        labels = [s + chr(g) for s in labels for g in range(ord("A"), ord(max(s)) + 2)]
+    return [Relationship.from_label(label) for label in labels]
 
 
 # ---------------------------------------------------------------------------

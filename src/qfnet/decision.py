@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     DomainError,
     Relationship,
+    enumerate_relationships,
     relationship_profile,
     run_pairing,
 )
@@ -318,34 +319,19 @@ def pairwise_run_count(rel: Relationship) -> tuple[int, int]:
 
     The two-party scheme compares pairs in the order (1,2), (1,3), (1,4),
     (2,3), (2,4), (3,4) and skips any comparison whose result is already
-    implied by transitivity over earlier results (equalities merge senders;
-    an inequality between members extends to their whole groups).  The
-    multi-party count is what the adaptive schedule uses.
+    implied: every partition the earlier results still allow agrees on it.
+    The multi-party count is what the adaptive schedule uses.
     """
     if rel.n != 4:
         raise DomainError(f"run counts defined for 4 senders, got {rel.n}")
-    parent = list(range(5))  # union-find over senders 1..4
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    unequal: set[frozenset[int]] = set()
+    allowed = enumerate_relationships(4)
     t_t = 0
     for a, b in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if frozenset((ra, rb)) in unequal:
+        if len({r.group_of(a) == r.group_of(b) for r in allowed}) == 1:
             continue
         t_t += 1
-        if rel.group_of(a) == rel.group_of(b):
-            parent[rb] = ra
-            unequal = {frozenset(find(x) for x in pair) for pair in unequal}
-        else:
-            unequal.add(frozenset((ra, rb)))
+        same = rel.group_of(a) == rel.group_of(b)
+        allowed = [r for r in allowed if (r.group_of(a) == r.group_of(b)) == same]
     return t_t, len(forward_signature(rel))
 
 

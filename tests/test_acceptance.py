@@ -277,7 +277,7 @@ def test_criterion_4_closed_forms_match_oracle():
 
 
 def _split_off(sender: int) -> Relationship:
-    return Relationship.from_groups([[sender], [s for s in range(1, 5) if s != sender]])
+    return Relationship.from_label("".join("B" if s == sender else "A" for s in range(1, 5)))
 
 
 # --- 5: decision table round trip and published rows --------------------------

@@ -185,7 +185,7 @@ def test_two_party_needs_two_senders():
 
 
 def split_off(sender):
-    return Relationship.from_groups([[sender], [s for s in range(1, 5) if s != sender]])
+    return Relationship.from_label("".join("B" if s == sender else "A" for s in range(1, 5)))
 
 
 def test_asymmetric_degenerates_to_symmetric():
