@@ -70,11 +70,12 @@ _BLOCK_TRIALS = 1024  # trials whose raw region cells are held at once
 _MIN_WORKER_TRIALS = 2048
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial proportion."""
     if trials < 1 or not (0 <= successes <= trials):
         raise DomainError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     phat = successes / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
