@@ -35,7 +35,6 @@ def _bench(table_id: str, description: str, n: int, epsilon: float, ch: ChannelM
            encoding: Encoding, rows: Sequence[tuple[Sequence[float], Sequence[int]]],
            reported: dict[str, float]) -> Benchmark:
     """One instance; ``rows`` holds (alphas, thresholds) of each scheduled run."""
-    # Every published row uses expansion c = 0.2 and distance delta = 0.22.
     pp = ProtocolParams(n=n, c=0.2, delta=0.22, epsilon=epsilon, N=ch.n_senders)
     runs = tuple(
         RunConfig(alphas, run_pairing(s, pp.N), ths, encoding)

@@ -247,6 +247,7 @@ def _benchmark_payload(bench: Benchmark) -> dict:
         "protocol": asdict(bench.pp),
         "channel": asdict(bench.ch),
         "encoding": bench.encoding.value,
+        # not asdict(rc): a run's encoding is not part of the hashed payload
         "runs": [
             {"alphas": rc.alphas, "pairing": rc.pairing, "thresholds": rc.thresholds}
             for rc in bench.runs
