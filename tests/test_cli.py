@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -15,6 +16,8 @@ import pytest
 
 import qfnet
 from qfnet.cli import ConfigError, build_channel, build_problem, load_config, main
+from qfnet.core import ChannelModel
+from qfnet.optimizer import OptimizationProblem
 
 DESK_DOC = {
     "schema_version": 1,
@@ -252,6 +255,8 @@ def test_main_simulate_validates_relationship_and_m(tmp_path, desk_config, capsy
         ("channel", "eta", "1.0"),
         ("optimizer", "grid", "fine"),
         ("optimizer", "bounds", [1.0, "big"]),
+        ("encoding", "variant", "three-bit"),
+        ("encoding", "variant", 2),
     ],
 )
 def test_main_simulate_rejects_non_numeric_fields(tmp_path, capsys, section, key, value):
@@ -260,6 +265,33 @@ def test_main_simulate_rejects_non_numeric_fields(tmp_path, capsys, section, key
     assert main(["simulate", write_doc(tmp_path, doc), "--relationship", "AABC"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("protocol", key) for key in ("n", "c", "delta", "epsilon", "N")]
+    + [("montecarlo", key) for key in ("m", "trials", "seed")],
+)
+def test_main_simulate_names_a_missing_field(tmp_path, capsys, section, key):
+    doc = json.loads(json.dumps(DESK_DOC))
+    del doc[section][key]
+    assert main(["simulate", write_doc(tmp_path, doc), "--relationship", "AABC"]) == 2
+    assert f"missing field {section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("transmission", ["eta", "sqrt_eta"])
+def test_build_problem_takes_omitted_fields_from_the_dataclasses(transmission):
+    # no optimizer or encoding section, no dark_count or visibility: the
+    # library's own field defaults apply, whichever transmission key is given
+    doc = json.loads(json.dumps(DESK_DOC))
+    doc["channel"] = {transmission: [1.0, 1.0, 1.0, 1.0]}
+    problem = build_problem(doc, "r")
+    for obj, names in ((problem, ("encoding", "bounds", "grid")),
+                       (problem.ch, ("dark_count", "visibility"))):
+        defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+        assert {name: getattr(obj, name) for name in names} == {
+            name: defaults[name] for name in names
+        }
 
 
 def test_main_simulate_accepts_integral_floats(tmp_path):
