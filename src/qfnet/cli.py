@@ -68,7 +68,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
@@ -79,8 +79,9 @@ def load_config(path: str) -> dict:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    if doc.get("schema_version") != 1:
-        raise ConfigError(f"schema_version must be 1, got {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != 1:
+        raise ConfigError(f"schema_version must be 1, got {version!r}")
     for section, keys in _SECTION_KEYS.items():
         if section in doc:
             if not isinstance(doc[section], dict):

@@ -201,11 +201,12 @@ class Relationship:
     def from_label(cls, label: str) -> "Relationship":
         """Parse a letter label like ``"AABC"`` (one letter per sender).
 
-        Any letters are accepted and canonicalized by first appearance, so
+        Any ASCII letters are accepted and canonicalized by first appearance, so
         ``"BAAC"`` parses to the same partition as ``"ABBC"``.
         """
-        if not label or not label.isalpha():
-            raise DomainError(f"relationship label must be non-empty letters, got {label!r}")
+        # ASCII only: str.upper maps some letters to two ("ß" to "SS")
+        if not (label.isascii() and label.isalpha()):
+            raise DomainError(f"relationship label must be non-empty ASCII letters, got {label!r}")
         if len(label) > MAX_SENDERS:
             raise DomainError(f"at most {MAX_SENDERS} senders supported, got {len(label)}")
         by_letter: dict[str, list[int]] = {}

@@ -94,6 +94,7 @@ def test_load_config_rejections(tmp_path):
     check(lambda d: d["protocol"].update(mu=3), "unknown keys in 'protocol'")
     check(lambda d: d.update(schema_version=2), "schema_version")
     check(lambda d: d.pop("schema_version"), "schema_version")
+    check(lambda d: d.update(schema_version=True), "schema_version")
     check(lambda d: d.pop("channel"), "missing required section")
     check(lambda d: d.update(protocol=[1, 2]), "must be an object")
 
@@ -176,6 +177,12 @@ def test_main_io_error_exit_code(tmp_path, desk_config, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
     assert main(["optimize", desk_config, "--out", str(missing_dir)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_main_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # a directory cannot be opened as a file, even by root
+    assert main(["optimize", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
 
 
 def test_main_rejects_unknown_table():

@@ -89,6 +89,10 @@ def test_from_label_rejects_junk():
         Relationship.from_label("AB1C")
     with pytest.raises(DomainError):
         Relationship.from_label("A" * 13)
+    with pytest.raises(DomainError):
+        Relationship.from_label("ßAB")  # upper-cases to SSAB: four senders
+    with pytest.raises(DomainError):
+        Relationship.from_label("\ufb00")  # the ff ligature upper-cases to FF
 
 
 def test_display_labels_rank_by_group_size():
