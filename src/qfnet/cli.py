@@ -21,7 +21,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .benchmarks import BENCHMARKS, Benchmark
@@ -53,53 +53,6 @@ class ConfigError(Exception):
 # config ingestion
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS: Mapping[str, set[str]] = {
-    "protocol": {"n", "c", "delta", "epsilon", "N"},
-    "channel": {"sqrt_eta", "eta", "dark_count", "visibility"},
-    "encoding": {"variant"},
-    "optimizer": {"bounds", "grid"},
-    "montecarlo": {"m", "trials", "seed"},
-}
-_TOP_KEYS = {"schema_version"} | set(_SECTION_KEYS)
-
-
-def load_config(path: str) -> dict:
-    """Load and structurally validate a configuration document."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"{path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    version = doc.get("schema_version")
-    if isinstance(version, bool) or version != 1:
-        raise ConfigError(f"schema_version must be 1, got {version!r}")
-    for section, keys in _SECTION_KEYS.items():
-        if section in doc:
-            if not isinstance(doc[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            unknown = set(doc[section]) - keys
-            if unknown:
-                raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-    for section in ("protocol", "channel"):
-        if section not in doc:
-            raise ConfigError(f"missing required section {section!r}")
-    return doc
-
-
-def _require(section: Mapping[str, Any], name: str, key: str) -> Any:
-    if key not in section:
-        raise ConfigError(f"missing field {name}.{key}")
-    return section[key]
-
 
 def _number(value: Any, field: str) -> float:
     # JSON numbers only: bool is an int subclass and float() parses strings
@@ -118,35 +71,101 @@ def _integer(value: Any, field: str) -> int:
     return int(value)
 
 
-def build_protocol(doc: Mapping[str, Any]) -> ProtocolParams:
-    sec = doc["protocol"]
+def _numbers(value: Any, field: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{field} must be a list of numbers, got {value!r}")
+    return [_number(x, f"{field}[{i}]") for i, x in enumerate(value)]
+
+
+def _bounds(value: Any, field: str) -> tuple[float, ...]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{field} must be [lo, hi], got {value!r}")
+    return tuple(_numbers(value, field))
+
+
+def _encoding(value: Any, field: str) -> Encoding:
     try:
-        return ProtocolParams(
-            n=_integer(_require(sec, "protocol", "n"), "protocol.n"),
-            c=_number(_require(sec, "protocol", "c"), "protocol.c"),
-            delta=_number(_require(sec, "protocol", "delta"), "protocol.delta"),
-            epsilon=_number(_require(sec, "protocol", "epsilon"), "protocol.epsilon"),
-            N=_integer(_require(sec, "protocol", "N"), "protocol.N"),
-        )
+        return Encoding(value)
+    except ValueError:
+        raise ConfigError(
+            f"{field} must be one of {[e.value for e in Encoding]}, got {value!r}"
+        ) from None
+
+
+# Every config section and field with its converter.  Defaults are not
+# stated here: an omitted optional field is left to the library's dataclass.
+_FIELDS: Mapping[str, Mapping[str, Callable[[Any, str], Any]]] = {
+    "protocol": dict(n=_integer, c=_number, delta=_number, epsilon=_number, N=_integer),
+    "channel": dict(sqrt_eta=_numbers, eta=_numbers, dark_count=_number, visibility=_number),
+    "encoding": dict(variant=_encoding),
+    "optimizer": dict(bounds=_bounds, grid=_number),
+    "montecarlo": dict(m=_integer, trials=_integer, seed=_integer),
+}
+
+
+def load_config(path: str) -> dict:
+    """Load and structurally validate a configuration document."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    unknown = set(doc) - {"schema_version", *_FIELDS}
+    if unknown:
+        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != 1:
+        raise ConfigError(f"schema_version must be 1, got {version!r}")
+    for section, fields in _FIELDS.items():
+        if section in doc:
+            if not isinstance(doc[section], dict):
+                raise ConfigError(f"section {section!r} must be an object")
+            unknown = doc[section].keys() - fields.keys()
+            if unknown:
+                raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+    for section in ("protocol", "channel"):
+        if section not in doc:
+            raise ConfigError(f"missing required section {section!r}")
+    return doc
+
+
+def _given(doc: Mapping[str, Any], section: str, required: bool = False) -> dict[str, Any]:
+    """The fields ``doc`` gives in ``section``, converted.
+
+    ``required``: the section and every one of its fields must be given.
+    """
+    if required and section not in doc:
+        raise ConfigError(f"missing required section {section!r}")
+    given = doc.get(section, {})
+    for key in _FIELDS[section]:
+        if required and key not in given:
+            raise ConfigError(f"missing field {section}.{key}")
+    return {
+        key: convert(given[key], f"{section}.{key}")
+        for key, convert in _FIELDS[section].items()
+        if key in given
+    }
+
+
+def build_protocol(doc: Mapping[str, Any]) -> ProtocolParams:
+    try:
+        return ProtocolParams(**_given(doc, "protocol", required=True))
     except DomainError as exc:
         raise ConfigError(f"protocol: {exc}") from exc
 
 
 def build_channel(doc: Mapping[str, Any], n_senders: int) -> ChannelModel:
-    sec = doc["channel"]
-    if ("sqrt_eta" in sec) == ("eta" in sec):
+    if ("sqrt_eta" in doc["channel"]) == ("eta" in doc["channel"]):
         raise ConfigError("channel: provide exactly one of 'sqrt_eta' or 'eta'")
-    dark = _number(sec.get("dark_count", 0.0), "channel.dark_count")
-    vis = _number(sec.get("visibility", 1.0), "channel.visibility")
-    key = "sqrt_eta" if "sqrt_eta" in sec else "eta"
-    if not isinstance(sec[key], (list, tuple)):
-        raise ConfigError(f"channel.{key} must be a list of numbers, got {sec[key]!r}")
-    values = [_number(x, f"channel.{key}[{i}]") for i, x in enumerate(sec[key])]
+    given = _given(doc, "channel")
     try:
-        if key == "sqrt_eta":
-            ch = ChannelModel.from_sqrt_eta(values, dark, vis)
-        else:
-            ch = ChannelModel(tuple(values), dark, vis)
+        ch = ChannelModel(**given) if "eta" in given else ChannelModel.from_sqrt_eta(**given)
     except DomainError as exc:
         raise ConfigError(f"channel: {exc}") from exc
     if ch.n_senders != n_senders:
@@ -156,38 +175,14 @@ def build_channel(doc: Mapping[str, Any], n_senders: int) -> ChannelModel:
     return ch
 
 
-def build_encoding(doc: Mapping[str, Any]) -> Encoding:
-    variant = doc.get("encoding", {}).get("variant", Encoding.SINGLE_BIT.value)
-    try:
-        return Encoding(variant)
-    except ValueError as exc:
-        raise ConfigError(
-            f"encoding.variant must be one of {[e.value for e in Encoding]}, got {variant!r}"
-        ) from exc
-
-
 def build_problem(doc: Mapping[str, Any], target: str) -> OptimizationProblem:
     pp = build_protocol(doc)
     ch = build_channel(doc, pp.N)
-    enc = build_encoding(doc)
-    opt = doc.get("optimizer", {})
-    bounds = opt.get("bounds", [1.0, 32768.0])
-    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-        raise ConfigError(f"optimizer.bounds must be [lo, hi], got {bounds!r}")
-    grid = _number(opt.get("grid", 1e-3), "optimizer.grid")
-    runs = 1 if target == "ae" else None
+    options = _given(doc, "optimizer")
+    if "variant" in (encoding := _given(doc, "encoding")):
+        options["encoding"] = encoding["variant"]
     try:
-        return OptimizationProblem(
-            pp=pp,
-            ch=ch,
-            encoding=enc,
-            runs=runs,
-            bounds=(
-                _number(bounds[0], "optimizer.bounds[0]"),
-                _number(bounds[1], "optimizer.bounds[1]"),
-            ),
-            grid=grid,
-        )
+        return OptimizationProblem(pp=pp, ch=ch, runs=1 if target == "ae" else None, **options)
     except DomainError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
 
@@ -200,10 +195,6 @@ def build_problem(doc: Mapping[str, Any], target: str) -> OptimizationProblem:
 def _fmt(value: Any) -> str:
     if value is None or value == "":
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -240,6 +231,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _meta(subject: str, payload: Any) -> list[str]:
     return [f"qfnet {__version__}", subject, f"config_hash: {_config_hash(payload)}"]
+
+
+def _write_json(path: str | None, config: Any, meta: Mapping[str, Any], **body: Any) -> None:
+    """Write ``{"meta": ..., **body}``; meta names the tool and hashes the config."""
+    payload = {
+        "meta": {"tool": f"qfnet {__version__}", "config_hash": _config_hash(config), **meta},
+        **body,
+    }
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _benchmark_payload(bench: Benchmark) -> dict:
@@ -338,15 +338,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     problem = build_problem(doc, args.target)
     result = optimize(problem)
-    payload = {
-        "meta": {
-            "tool": f"qfnet {__version__}",
-            "config_hash": _config_hash(doc),
-            "target": args.target,
-        },
-        "result": result.to_jsonable(),
-    }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, doc, {"target": args.target}, result=result.to_jsonable())
     if args.out:
         print(f"wrote {args.out} (feasible={result.feasible}, q_r={_fmt(result.q_r)})")
     return 0 if result.feasible else 4
@@ -354,16 +346,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
-    if "montecarlo" not in doc:
-        raise ConfigError("missing required section 'montecarlo'")
-    mc = doc["montecarlo"]
-    m = _integer(_require(mc, "montecarlo", "m"), "montecarlo.m")
-    trials = _integer(_require(mc, "montecarlo", "trials"), "montecarlo.trials")
-    seed = _integer(_require(mc, "montecarlo", "seed"), "montecarlo.seed")
+    mc = _given(doc, "montecarlo", required=True)
     problem = build_problem(doc, "r")
-    if m != problem.pp.m:
+    if mc["m"] != problem.pp.m:
         raise ConfigError(
-            f"montecarlo.m = {m} but protocol gives m = round(c*n) = {problem.pp.m}"
+            f"montecarlo.m = {mc['m']} but protocol gives m = round(c*n) = {problem.pp.m}"
         )
     try:
         rel = Relationship.from_label(args.relationship)
@@ -385,20 +372,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pp=problem.pp,
         ch=problem.ch,
         runs=optimized.per_run,
-        trials=trials,
-        seed=seed,
+        trials=mc["trials"],
+        seed=mc["seed"],
     )
     report = simulate(spec)
-    payload = {
-        "meta": {
-            "tool": f"qfnet {__version__}",
-            "config_hash": _config_hash(doc),
-            "relationship": rel.canonical_label,
-            "operating_point": optimized.to_jsonable(),
-        },
-        "report": report.to_jsonable(),
-    }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    meta = {"relationship": rel.canonical_label, "operating_point": optimized.to_jsonable()}
+    _write_json(args.out, doc, meta, report=report.to_jsonable())
     if args.out:
         lo, hi = report.wilson_95
         print(

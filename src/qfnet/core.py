@@ -206,7 +206,7 @@ class Relationship:
         """
         # ASCII only: str.upper maps some letters to two ("ß" to "SS")
         if not (label.isascii() and label.isalpha()):
-            raise DomainError(f"relationship label must be non-empty ASCII letters, got {label!r}")
+            raise DomainError(f"relationship label must be ASCII letters, got {label!r}")
         if len(label) > MAX_SENDERS:
             raise DomainError(f"at most {MAX_SENDERS} senders supported, got {len(label)}")
         by_letter: dict[str, list[int]] = {}
