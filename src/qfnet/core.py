@@ -1,7 +1,9 @@
 """Shared domain types for the fingerprinting-network toolkit.
 
 Senders are numbered 1..N.  A *relationship* is a set partition of the
-senders into equality groups (senders in one group hold identical messages).
+senders into equality groups (senders in one group hold identical messages),
+held as its first-appearance letter label: AABC puts senders 1 and 2 in one
+group and 3 and 4 in groups of their own.
 Codewords of two senders in different groups disagree on at least a fraction
 ``delta`` of positions; the worst case for distinguishing them is every
 pairwise distance sitting exactly at ``delta``.  That worst case is modeled
@@ -118,17 +120,15 @@ class ChannelModel:
             raise DomainError(f"visibility must lie in [0, 1], got {self.visibility!r}")
 
     @classmethod
-    def from_sqrt_eta(
-        cls,
-        sqrt_eta: Sequence[float],
-        dark_count: float = 0.0,
-        visibility: float = 1.0,
-    ) -> "ChannelModel":
-        """Build from amplitude transmissions (eta = sqrt_eta**2)."""
+    def from_sqrt_eta(cls, sqrt_eta: Sequence[float], *args, **kwargs) -> "ChannelModel":
+        """Build from amplitude transmissions (eta = sqrt_eta**2).
+
+        The remaining arguments (dark_count, visibility) go to the constructor.
+        """
         for s in sqrt_eta:
             if not (0.0 < float(s) <= 1.0):
                 raise DomainError(f"sqrt_eta entries must lie in (0, 1], got {s!r}")
-        return cls(tuple(float(s) ** 2 for s in sqrt_eta), dark_count, visibility)
+        return cls(tuple(float(s) ** 2 for s in sqrt_eta), *args, **kwargs)
 
     @cached_property
     def sqrt_eta(self) -> tuple[float, ...]:
@@ -171,31 +171,28 @@ class Encoding(str, Enum):
 # ---------------------------------------------------------------------------
 
 
+def _first_appearance(label: str) -> str:
+    # Relabel so that each new letter becomes the next unused one from "A".
+    letters: dict[str, str] = {}
+    return "".join(letters.setdefault(x, chr(ord("A") + len(letters))) for x in label)
+
+
 @dataclass(frozen=True)
 class Relationship:
     """A set partition of senders 1..n into equality groups.
 
-    ``groups`` is ordered by first appearance (the group of sender 1 comes
-    first), so equal partitions compare equal regardless of how they were
-    constructed.
+    Stored as its first-appearance label, a restricted growth string: sender
+    k's letter names its group, group i (0-based) is letter ``"A" + i``, and
+    each new group takes the next unused letter (AABC, not AAC or BAAC), so
+    equal partitions compare equal however they were constructed.
     """
 
-    groups: tuple[frozenset[int], ...]
+    canonical_label: str
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for g in self.groups:
-            if not g:
-                raise DomainError("empty group in relationship")
-            if seen & g:
-                raise DomainError("groups must be disjoint")
-            seen |= g
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
-            raise DomainError(f"groups must cover senders 1..{n} exactly, got {sorted(seen)}")
-        firsts = [min(g) for g in self.groups]
-        if firsts != sorted(firsts):
-            raise DomainError("groups must be ordered by first appearance")
+        label = self.canonical_label
+        if not (isinstance(label, str) and label and _first_appearance(label) == label):
+            raise DomainError(f"not a restricted growth label (AABC, not AAC): {label!r}")
 
     @classmethod
     def from_label(cls, label: str) -> "Relationship":
@@ -209,37 +206,35 @@ class Relationship:
             raise DomainError(f"relationship label must be ASCII letters, got {label!r}")
         if len(label) > MAX_SENDERS:
             raise DomainError(f"at most {MAX_SENDERS} senders supported, got {len(label)}")
-        by_letter: dict[str, list[int]] = {}
-        for k, letter in enumerate(label.upper(), start=1):
-            by_letter.setdefault(letter, []).append(k)
-        groups = sorted((frozenset(v) for v in by_letter.values()), key=min)
-        return cls(tuple(groups))
+        return cls(_first_appearance(label.upper()))
+
+    @property
+    def groups(self) -> tuple[frozenset[int], ...]:
+        """The groups as sets of senders, in first-appearance order."""
+        label = self.canonical_label
+        return tuple(
+            frozenset(k for k, x in enumerate(label, 1) if x == g) for g in sorted(set(label))
+        )
 
     @property
     def n(self) -> int:
         """Number of senders."""
-        return sum(len(g) for g in self.groups)
+        return len(self.canonical_label)
 
     @property
     def num_groups(self) -> int:
-        return len(self.groups)
+        return len(set(self.canonical_label))
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
         """Group sizes, largest first."""
-        return tuple(sorted((len(g) for g in self.groups), reverse=True))
+        return tuple(sorted(map(len, self.groups), reverse=True))
 
     def group_of(self, sender: int) -> int:
         """Index (0-based, first-appearance order) of the group holding ``sender``."""
-        for i, g in enumerate(self.groups):
-            if sender in g:
-                return i
-        raise DomainError(f"sender {sender} not in relationship over {self.n} senders")
-
-    @property
-    def canonical_label(self) -> str:
-        """First-appearance letter label (a restricted growth string): AABC etc."""
-        return "".join(chr(ord("A") + self.group_of(k)) for k in range(1, self.n + 1))
+        if not 1 <= sender <= self.n:
+            raise DomainError(f"sender {sender} not in relationship over {self.n} senders")
+        return ord(self.canonical_label[sender - 1]) - ord("A")
 
     @property
     def display_label(self) -> str:
@@ -248,9 +243,9 @@ class Relationship:
         This is the labeling convention of the published decision table, where
         e.g. the partition {1}{2,3,4} reads BAAA rather than ABBB.
         """
-        order = sorted(range(len(self.groups)), key=lambda i: (-len(self.groups[i]), min(self.groups[i])))
-        letter_of_group = {gi: chr(ord("A") + rank) for rank, gi in enumerate(order)}
-        return "".join(letter_of_group[self.group_of(k)] for k in range(1, self.n + 1))
+        label = self.canonical_label
+        ranked = sorted(set(label), key=lambda g: (-label.count(g), g))
+        return label.translate({ord(g): chr(ord("A") + rank) for rank, g in enumerate(ranked)})
 
     @property
     def all_equal(self) -> bool:
@@ -259,7 +254,7 @@ class Relationship:
     @property
     def any_equal(self) -> bool:
         """True when at least two senders hold the same message."""
-        return any(len(g) >= 2 for g in self.groups)
+        return self.num_groups < self.n
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.canonical_label
@@ -337,17 +332,15 @@ def worst_case_regions(rel: Relationship, delta: float) -> tuple[PatternRegion, 
 
 @dataclass(frozen=True)
 class PatternFractions:
-    """Position fractions by joint bit pattern *at the interferometer ports*.
+    """Position fractions by joint bit pattern at the four interferometer ports.
 
-    For four ports (port p holds the sender a pairing assigns to it):
+    Port p holds the sender a pairing assigns to it:
 
     d12      ports 1 and 2 carry different bits
     d34      ports 3 and 4 carry different bits
     d_single exactly one port differs from the other three
     d_pairs  ports 1,2 agree and ports 3,4 agree, but the pairs differ
     d_total  any mismatch among the ports at all
-
-    For two ports only d12 (= d_total) is meaningful; the rest are zero.
     """
 
     d12: float
@@ -392,26 +385,21 @@ def observed_detectors(n_senders: int) -> tuple[int, ...]:
 def relationship_profile(
     rel: Relationship, pairing: Sequence[int], delta: float
 ) -> PatternFractions:
-    """Pattern fractions seen at the ports for one relationship and pairing.
+    """Pattern fractions seen at the four ports for one relationship and pairing.
 
     ``pairing[p-1]`` is the sender at port p.  Computed from the worst-case
     regions, so the fractions are exact for the minimum-distance instance.
     """
-    n = rel.n
-    if n not in (2, 4):
-        raise DomainError(f"profiles defined for 2 or 4 senders, got {n}")
-    if sorted(pairing) != list(range(1, n + 1)):
-        raise DomainError(f"pairing must permute 1..{n}, got {tuple(pairing)}")
+    if rel.n != 4:
+        raise DomainError(f"profiles defined for 4 senders, got {rel.n}")
+    if sorted(pairing) != [1, 2, 3, 4]:
+        raise DomainError(f"pairing must permute 1..4, got {tuple(pairing)}")
     d12 = d34 = d_single = d_pairs = d_total = 0.0
     for region in worst_case_regions(rel, delta):
         v = tuple(region.bits[s - 1] for s in pairing)
         w = region.weight
         if any(v):
             d_total += w
-        if n == 2:
-            if v[0] != v[1]:
-                d12 += w
-            continue
         if v[0] != v[1]:
             d12 += w
         if v[2] != v[3]:

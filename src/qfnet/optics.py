@@ -12,11 +12,12 @@ full Sylvester-Hadamard transform: e.g. for N = 4 they are
     D3 = (1,  1, -1, -1)/2        root difference
     D4 = (0,  0,  1, -1)/sqrt(2)  right-pair difference tap
 
-The row set is still orthonormal, so total intensity is conserved.  Each
-row's *complement* is the same combination with its second operand's sign
-flipped (the other output of the final splitter feeding that detector); with
-interference visibility nu < 1 a fraction (1 - nu) of the light behaves as if
-it exited that complement port instead.
+The row set is still orthonormal, so total intensity is conserved.  Every
+row is (x +- y)/sqrt(2) over a block of ports, x and y being the sums of the
+block's two halves.  Its *complement*, the other output of the final splitter
+feeding that detector, is (x -+ y)/sqrt(2): the same row with the second half
+of its support negated.  With interference visibility nu < 1 a fraction
+(1 - nu) of the light behaves as if it exited that complement port instead.
 
 region_click_matrix is the one implementation of the per-pulse click model:
 it propagates each worst-case pattern region's joint phases through these
@@ -78,22 +79,15 @@ def complement_rows(n: int) -> np.ndarray:
     """Complement-port amplitude rows, aligned with transfer_rows(n).
 
     Each detector's final splitter has two outputs; the complement row is the
-    one the detector does *not* sit on (second operand's sign flipped).  For
-    n = 4: comp(D1) = D3's row, comp(D3) = D1's row, comp(D2) = (1,1,0,0)/
-    sqrt(2), comp(D4) = (0,0,1,1)/sqrt(2).
+    one the detector does *not* sit on: the transfer row with the second half
+    of its support negated.  For n = 4: comp(D1) = D3's row, comp(D3) = D1's
+    row, comp(D2) = (1,1,0,0)/sqrt(2), comp(D4) = (0,0,1,1)/sqrt(2).
     """
-    _check_ports(n)
-    if n == 2:
-        return np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    half = transfer_rows(n // 2)
-    half_c = complement_rows(n // 2)
-    sub_sum = half[0]
-    zeros = np.zeros(n // 2)
-    rows = [np.concatenate([sub_sum, -sub_sum]) / math.sqrt(2.0)]
-    rows += [np.concatenate([r, zeros]) for r in half_c[1:]]
-    rows.append(np.concatenate([sub_sum, sub_sum]) / math.sqrt(2.0))
-    rows += [np.concatenate([zeros, r]) for r in half_c[1:]]
-    return np.array(rows)
+    rows = transfer_rows(n)
+    support = rows != 0.0
+    rank = support.cumsum(axis=1)  # position within the row's support, from 1
+    rows[support & (rank > rank[:, -1:] // 2)] *= -1.0
+    return rows
 
 
 def region_click_matrix(

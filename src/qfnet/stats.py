@@ -190,22 +190,22 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
 
     P_equal(C >= t) is nonincreasing in t and P_different(C < t) is
     nondecreasing, so the minimizer sits where they cross: the smallest t at
-    which the Different error reaches the Equal one.  The search starts at
-    the count where the two laws give equal probability (_search_start),
-    within a count or two of the crossing, and gallops down or up with
-    doubling steps until the comparison flips, running out to 0 or
-    ``pulses`` if it never does; then it bisects the last step.  Of the
-    crossing's neighbours only the one below can do better: the one above
-    errs at least P_different(C < t) at the crossing, the crossing's own
-    error.  About 4 tail evaluations per threshold at 10^5 and 10^13 pulses,
-    against 40-94 over the whole count range.  Ties go to the smaller
+    which the Different error reaches the Equal one.  The search starts at the
+    count where the two laws give equal probability (_search_start), within a
+    count or two of the crossing, and gallops down or up with doubling steps
+    until the comparison flips (upward it may run out to ``pulses``; t = 0
+    never qualifies, so downward it stops by 0); then it bisects the last
+    step.  Of the crossing's neighbours only the one below can do better: the
+    one above errs at least P_different(C < t) at the crossing, the crossing's
+    own error.  About 4 tail evaluations per threshold at 10^5 and 10^13
+    pulses, against 40-94 over the whole count range.  Ties go to the smaller
     threshold.  Where both tails are monotone in t the result is the
     full-range search's, bit for bit, whatever the start.  Where a tail
-    underflows into subnormals (the Equal tail against a click probability
-    at or near 1, say) betainc is not monotone in its last bits and the two
+    underflows into subnormals (the Equal tail against a click probability at
+    or near 1, say) betainc is not monotone in its last bits and the two
     searches can pick different thresholds; the error returned has been no
-    larger in every such case seen.  When the two models have equal means
-    no threshold separates them; the rounded midpoint is returned with
+    larger in every such case seen.  When the two models have equal means no
+    threshold separates them; the rounded midpoint is returned with
     ``degenerate=True``.
     """
     if equal.pulses != different.pulses:
@@ -213,8 +213,7 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
             f"count models cover different pulse counts: {equal.pulses} vs {different.pulses}"
         )
     if math.isclose(equal.mean, different.mean, rel_tol=1e-12, abs_tol=1e-12):
-        t = int(round(equal.mean))
-        t = min(max(t, 0), equal.pulses)
+        t = int(round(equal.mean))  # in [0, pulses], as p is in [0, 1]
         e_eq, e_df = _decision_errors(equal, different, t)
         return ThresholdChoice(t, max(e_eq, e_df), degenerate=True)
 
@@ -230,19 +229,18 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
         e_eq, e_df = errors_at(t)
         return e_df >= e_eq
 
-    # smallest t with e_df >= e_eq, read as pulses + 1 if there is none
-    lo, hi = -1, pulses + 1
+    # smallest t with e_df >= e_eq, read as pulses + 1 if there is none;
+    # never 0, which errs 1.0 on Equal and 0.0 on Different
     t, step = _search_start(equal, different), 1
     if diff_dominates(t):
         hi = t
-        while hi > 0:
-            t = max(hi - step, 0)
-            if not diff_dominates(t):
-                lo = t
+        while True:
+            lo = max(hi - step, 0)
+            if not diff_dominates(lo):
                 break
-            hi, step = t, 2 * step
+            hi, step = lo, 2 * step
     else:
-        lo = t
+        lo, hi = t, pulses + 1
         while lo < pulses:
             t = min(lo + step, pulses)
             if diff_dominates(t):
@@ -256,12 +254,5 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
         else:
             lo = mid
     cross = min(hi, pulses)
-    best_t, best_err = None, math.inf
-    for t in (cross - 1, cross):
-        if t < 0:
-            continue
-        err = max(errors_at(t))
-        if err < best_err:
-            best_t, best_err = t, err
-    assert best_t is not None
-    return ThresholdChoice(best_t, best_err)
+    below, at = max(errors_at(cross - 1)), max(errors_at(cross))
+    return ThresholdChoice(cross, at) if at < below else ThresholdChoice(cross - 1, below)

@@ -173,6 +173,26 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_channel_error_exit_code(tmp_path, capsys):
+    doc = json.loads(json.dumps(DESK_DOC))
+    doc["protocol"]["N"] = 2
+    doc["channel"] = {"eta": [1.5, 0.5]}
+    assert main(["optimize", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("config error: channel:")
+
+
+def test_main_library_rejection_exit_code(tmp_path, capsys):
+    # the builders accept every field, but two-bit encoding needs an even
+    # codeword length and round(0.2 * 500_003) = 100_001
+    doc = json.loads(json.dumps(DESK_DOC))
+    doc["protocol"].update(N=2, n=500_003)
+    doc["channel"] = {"eta": [0.5, 0.5]}
+    doc["encoding"] = {"variant": "two-bit"}
+    build_problem(doc, "r")
+    assert main(["optimize", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
 def test_main_io_error_exit_code(tmp_path, desk_config, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
     assert main(["optimize", desk_config, "--out", str(missing_dir)]) == 3
@@ -210,6 +230,16 @@ def test_main_simulate_stdout_is_the_json_report(tmp_path, desk_config, capsys):
     printed = capsys.readouterr().out
     assert json.loads(printed) == json.loads(out.read_text())
     assert printed.encode("utf-8") == out.read_bytes()
+
+
+def test_main_simulate_infeasible_exit_code(tmp_path, capsys):
+    doc = json.loads(json.dumps(DESK_DOC))
+    doc["channel"] = {"sqrt_eta": [0.6, 0.8, 0.7, 0.9], "dark_count": 5e-5}
+    doc["optimizer"] = {"bounds": [1, 2]}
+    assert main(["simulate", write_doc(tmp_path, doc), "--relationship", "AABC"]) == 4
+    captured = capsys.readouterr()
+    assert "no feasible operating point" in captured.err
+    assert captured.out == ""
 
 
 def test_main_simulate_is_byte_deterministic(tmp_path, desk_config):

@@ -118,6 +118,35 @@ def test_groups_and_sizes():
     assert not Relationship.from_label("ABCD").any_equal
 
 
+@pytest.mark.parametrize("label", ["", "B", "AAC", "ABA ", "aab", ("A", "B"), None])
+def test_relationship_rejects_labels_that_are_not_restricted_growth(label):
+    with pytest.raises(DomainError, match="restricted growth"):
+        Relationship(label)
+
+
+@pytest.mark.parametrize("n", sorted(BELL))
+def test_label_views_match_the_groups(n):
+    # each view as computed from the groups themselves, independently of the
+    # label the relationship stores
+    for rel in enumerate_relationships(n):
+        by_letter = {}
+        for k, letter in enumerate(rel.canonical_label, start=1):
+            by_letter.setdefault(letter, []).append(k)
+        groups = tuple(sorted((frozenset(v) for v in by_letter.values()), key=min))
+        group_of = {k: i for i, g in enumerate(groups) for k in g}
+        order = sorted(range(len(groups)), key=lambda i: (-len(groups[i]), min(groups[i])))
+        letter_of_group = {gi: chr(ord("A") + rank) for rank, gi in enumerate(order)}
+        assert rel.groups == groups
+        assert rel.n == n and rel.num_groups == len(groups)
+        assert rel.group_sizes == tuple(sorted((len(g) for g in groups), reverse=True))
+        assert [rel.group_of(k) for k in range(1, n + 1)] == [group_of[k] for k in range(1, n + 1)]
+        assert rel.display_label == "".join(letter_of_group[group_of[k]] for k in range(1, n + 1))
+        assert rel.any_equal == any(len(g) >= 2 for g in groups)
+        assert Relationship(rel.canonical_label) == rel
+    with pytest.raises(DomainError):
+        rel.group_of(n + 1)
+
+
 @given(st.text(alphabet="ABCD", min_size=2, max_size=8))
 def test_canonical_label_is_a_fixed_point(label):
     rel = Relationship.from_label(label)
@@ -191,6 +220,11 @@ def test_profile_spec_cases():
     assert p.d_total == pytest.approx(3 * d / 2)
     p = relationship_profile(Relationship.from_label("AAAA"), (1, 2, 3, 4), d)
     assert (p.d12, p.d34, p.d_single, p.d_pairs, p.d_total) == (0, 0, 0, 0, 0)
+
+
+def test_profile_is_defined_for_four_ports_only():
+    with pytest.raises(DomainError, match="4 senders"):
+        relationship_profile(Relationship.from_label("AB"), (1, 2), 0.22)
 
 
 def test_profile_rejects_bad_pairing():
@@ -281,6 +315,10 @@ def test_channel_model_validation():
         ChannelModel(eta=(0.5, 0.5), dark_count=1.0)
     with pytest.raises(DomainError):
         ChannelModel(eta=(0.5, 0.5), visibility=1.2)
+    with pytest.raises(DomainError, match="sqrt_eta"):
+        ChannelModel.from_sqrt_eta((0.0, 0.5))
+    with pytest.raises(DomainError, match="sqrt_eta"):
+        ChannelModel.from_sqrt_eta((0.5, 1.5))
 
 
 def test_encoding_pulse_counts():

@@ -1,5 +1,6 @@
 """Seeded trial campaigns: pulse budgets, decisions, count statistics."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -152,6 +153,13 @@ def test_trial_spec_validation(desk_setup):
         TrialSpec(
             rel=Relationship.from_label("AB"), pp=pp, ch=ch, runs=runs, trials=10, seed=1
         )
+    with pytest.raises(DomainError, match="2 or 4 senders"):
+        TrialSpec(
+            rel=Relationship.from_label("AAB"), pp=pp, ch=ch, runs=runs, trials=10, seed=1
+        )
+    two_bit = tuple(dataclasses.replace(run, encoding=Encoding.TWO_BIT) for run in runs)
+    with pytest.raises(DomainError, match="two-bit"):
+        TrialSpec(rel=rel, pp=pp, ch=ch, runs=two_bit, trials=10, seed=1)
 
 
 # --- campaigns ---------------------------------------------------------------

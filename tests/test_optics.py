@@ -77,6 +77,25 @@ def test_complement_rows_four_ports_explicit():
     np.testing.assert_allclose(comp[3], [0, 0, S2, S2], atol=1e-15)
 
 
+def _complement_rows_by_recursion(n):
+    # reference: each level's complement rows built from the level below,
+    # as the other outputs of the splitters
+    if n == 2:
+        return np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    sub_sum, zeros = transfer_rows(n // 2)[0], np.zeros(n // 2)
+    half_c = _complement_rows_by_recursion(n // 2)
+    rows = [np.concatenate([sub_sum, -sub_sum]) / math.sqrt(2.0)]
+    rows += [np.concatenate([r, zeros]) for r in half_c[1:]]
+    rows.append(np.concatenate([sub_sum, sub_sum]) / math.sqrt(2.0))
+    rows += [np.concatenate([zeros, r]) for r in half_c[1:]]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_complement_rows_equal_the_recursive_tree(n):
+    assert complement_rows(n).tobytes() == _complement_rows_by_recursion(n).tobytes()
+
+
 def test_tree_transfer_interference_extremes():
     rows = transfer_rows(2)
     equal = np.abs(rows @ np.array([0.3, 0.3])) ** 2
@@ -163,6 +182,8 @@ def test_click_probability_validation():
     )
     with pytest.raises(DomainError):  # two-bit encoding pairs two senders only
         region_click_matrix(Relationship.from_label("AABC"), two_bit, ch, pp)
+    with pytest.raises(DomainError, match="2 or 4 senders"):
+        region_click_matrix(Relationship.from_label("AAB"), run, ch, pp)
 
 
 @given(st.floats(0, 5), st.floats(0, 5))

@@ -61,6 +61,9 @@ def test_problem_validation():
         OptimizationProblem(pp=pp4, ch=ch4, grid=0.9)
     with pytest.raises(DomainError):
         OptimizationProblem(pp=pp4, ch=ChannelModel(eta=(0.5, 0.5)))
+    pp8 = ProtocolParams(n=1000, c=2.0, delta=0.22, epsilon=1e-3, N=8)
+    with pytest.raises(DomainError, match="2 or 4 senders"):
+        OptimizationProblem(pp=pp8, ch=ChannelModel(eta=(0.5,) * 8))
 
 
 # --- fixed-row audits --------------------------------------------------------
