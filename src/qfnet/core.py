@@ -9,6 +9,8 @@ Codewords of two senders in different groups disagree on at least a fraction
 pairwise distance sitting exactly at ``delta``.  That worst case is modeled
 by *pattern regions*: classes of codeword positions sharing one joint bit
 pattern across the groups, with sender 1's group as the phase reference.
+The network shapes modelled (2 or 4 senders) and their adaptive run schedule
+are stated once, in check_network and the schedule table it reads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "PatternRegion",
     "PatternFractions",
     "RunConfig",
+    "check_network",
     "check_schedule",
     "enumerate_relationships",
     "worst_case_regions",
@@ -350,23 +353,37 @@ class PatternFractions:
     d_total: float
 
 
-def run_pairing(run_index: int, n_senders: int = 4) -> tuple[int, ...]:
-    """Port order for the adaptive schedule's runs.
+# The adaptive schedule: port order of each run, by sender count.  Sender 1
+# stays at port 1 (it is the phase/grouping reference); four senders pair
+# (1,2)(3,4), then (1,3)(2,4), then (1,4)(2,3).  These are the only network
+# sizes modelled, and N - 1 runs resolve any relationship.
+_SCHEDULE = {2: ((1, 2),), 4: ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3))}
 
-    Sender 1 stays at port 1 (it is the phase/grouping reference).  For four
-    senders: run 1 pairs (1,2)(3,4), run 2 pairs (1,3)(2,4), run 3 pairs
-    (1,4)(2,3).  Two senders have a single run.
+
+def check_network(n: int, *sizes: int, encoding: Encoding = Encoding.SINGLE_BIT) -> int:
+    """Check a network's shape and return its schedule length.
+
+    n must be a modelled sender count (2 or 4), every given size (of a
+    channel, protocol, run or relationship) must equal n, and two-bit
+    encoding needs n == 2.  Returns the number of runs in the schedule,
+    N - 1.
     """
-    if n_senders == 2:
-        if run_index != 1:
-            raise DomainError(f"two senders have a single run, got run {run_index}")
-        return (1, 2)
-    if n_senders == 4:
-        table = {1: (1, 2, 3, 4), 2: (1, 3, 2, 4), 3: (1, 4, 2, 3)}
-        if run_index not in table:
-            raise DomainError(f"run index must be 1..3, got {run_index}")
-        return table[run_index]
-    raise DomainError(f"pairing schedule defined for 2 or 4 senders, got {n_senders}")
+    if n not in _SCHEDULE:
+        raise DomainError(f"networks are defined for 2 or 4 senders, got {n!r}")
+    for size in sizes:
+        if size != n:
+            raise DomainError(f"a part sized for {size} senders, expected {n}")
+    if n != 2 and encoding is Encoding.TWO_BIT:
+        raise DomainError("two-bit encoding is defined for two senders only")
+    return len(_SCHEDULE[n])
+
+
+def run_pairing(run_index: int, n_senders: int = 4) -> tuple[int, ...]:
+    """Port order (sender at each port) of run run_index of the schedule."""
+    runs = check_network(n_senders)
+    if not 1 <= run_index <= runs:
+        raise DomainError(f"run index must be 1..{runs}, got {run_index}")
+    return _SCHEDULE[n_senders][run_index - 1]
 
 
 def observed_detectors(n_senders: int) -> tuple[int, ...]:
@@ -375,11 +392,8 @@ def observed_detectors(n_senders: int) -> tuple[int, ...]:
     The final-sum detector (index 0) clicks for every relationship and is not
     observed; the difference-port detectors are.
     """
-    if n_senders == 2:
-        return (1,)
-    if n_senders == 4:
-        return (1, 2, 3)
-    raise DomainError(f"observed detectors defined for 2 or 4 senders, got {n_senders}")
+    check_network(n_senders)
+    return tuple(range(1, n_senders))
 
 
 def relationship_profile(
@@ -470,16 +484,15 @@ class RunConfig:
 def check_schedule(runs: Sequence[RunConfig], n_senders: int, encoding: Encoding) -> None:
     """Check runs against the adaptive schedule.
 
-    Run i (counted from 1) must be sized for n_senders, use
-    run_pairing(i, n_senders) and carry the given encoding.
+    The network must pass check_network with every run's size and the
+    encoding; run i (counted from 1) must then be run i of the schedule,
+    with its pairing, and carry the given encoding.
     """
+    check_network(n_senders, *(rc.n_senders for rc in runs), encoding=encoding)
+    schedule = _SCHEDULE[n_senders]
     for i, rc in enumerate(runs, start=1):
-        if rc.n_senders != n_senders:
-            raise DomainError(f"run {i} sized for {rc.n_senders} senders, expected {n_senders}")
-        if rc.pairing != run_pairing(i, n_senders):
-            raise DomainError(
-                f"run {i} must use pairing {run_pairing(i, n_senders)}, got {rc.pairing}"
-            )
+        if i > len(schedule) or rc.pairing != schedule[i - 1]:
+            raise DomainError(f"run {i}'s pairing {rc.pairing} is not run {i} of {schedule}")
         if rc.encoding is not encoding:
             raise DomainError(
                 f"run {i} uses the {rc.encoding.value} encoding, expected {encoding.value}"

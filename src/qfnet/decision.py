@@ -229,7 +229,9 @@ def resolve_schedule(n: int, outcomes: Sequence[Bits]) -> tuple[DecisionOutcome 
 
     Runs are read in schedule order up to the shortest prefix that resolves;
     returns its decision and length.  A prefix that neither resolves nor
-    leads to a signature is inconsistent: (None, its length).
+    leads to a signature is inconsistent: (None, its length).  A sequence
+    that ends on a proper prefix of a signature, still needing runs, also
+    returns (None, its length).
     """
     table = _DECISIONS[n]
     width = len(next(iter(table))[0])  # bits per run

@@ -46,14 +46,14 @@ import numpy as np
 from .core import (
     ChannelModel,
     DomainError,
-    Encoding,
     ProtocolParams,
     Relationship,
     RunConfig,
+    check_network,
     check_schedule,
     observed_detectors,
 )
-from .decision import outcome_bits, resolve_schedule, run_budget
+from .decision import outcome_bits, resolve_schedule
 from .optics import region_click_matrix
 
 __all__ = [
@@ -107,16 +107,10 @@ class TrialSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "runs", tuple(self.runs))
         n = self.rel.n
-        if n not in (2, 4):
-            raise DomainError(f"simulation defined for 2 or 4 senders, got {n}")
-        if self.pp.N != n or self.ch.n_senders != n:
-            raise DomainError("relationship, protocol and channel sizes must agree")
-        needed = run_budget(n, "R", "MultiParty")
+        needed = check_network(n, self.pp.N, self.ch.n_senders)
         if len(self.runs) != needed:
             raise DomainError(f"{n} senders need {needed} scheduled runs, got {len(self.runs)}")
         check_schedule(self.runs, n, self.runs[0].encoding)
-        if self.runs[0].encoding is Encoding.TWO_BIT and n != 2:
-            raise DomainError("two-bit encoding is defined for two senders only")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):

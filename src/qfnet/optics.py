@@ -39,6 +39,7 @@ from .core import (
     ProtocolParams,
     Relationship,
     RunConfig,
+    check_network,
     worst_case_regions,
 )
 from .probmodel import ClickProfile
@@ -107,17 +108,12 @@ def region_click_matrix(
     per region.
     """
     n = rel.n
-    if n not in (2, 4):
-        raise DomainError(f"click matrix defined for 2 or 4 senders, got {n}")
-    if run.n_senders != n or channel.n_senders != n or protocol.N != n:
-        raise DomainError("relationship, run, channel and protocol sizes must agree")
+    check_network(n, run.n_senders, channel.n_senders, protocol.N, encoding=run.encoding)
     delta = protocol.delta
     if run.encoding is Encoding.SINGLE_BIT:
         regions = worst_case_regions(rel, delta)
         weights = tuple(r.weight for r in regions)
         phases = [tuple(1.0 - 2.0 * b + 0.0j for b in r.bits) for r in regions]
-    elif n != 2:
-        raise DomainError("two-bit encoding is defined for two senders only")
     elif rel.all_equal:
         weights, phases = (1.0,), [(1.0 + 0j, 1.0 + 0j)]
     else:

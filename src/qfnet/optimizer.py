@@ -44,10 +44,10 @@ from .core import (
     Encoding,
     ProtocolParams,
     RunConfig,
+    check_network,
     check_schedule,
     run_pairing,
 )
-from .decision import run_budget
 from .probmodel import (
     ClickProfile,
     four_party_asymmetric,
@@ -77,18 +77,12 @@ class OptimizationProblem:
     grid: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.pp.N not in (2, 4):
-            raise DomainError(f"optimization defined for 2 or 4 senders, got {self.pp.N}")
-        if self.ch.n_senders != self.pp.N:
-            raise DomainError("channel and protocol disagree on the sender count")
-        if self.encoding is Encoding.TWO_BIT and self.pp.N != 2:
-            raise DomainError("two-bit encoding is defined for two senders only")
+        budget = check_network(self.pp.N, self.ch.n_senders, encoding=self.encoding)
         lo, hi = self.bounds
         if not (0.0 < lo < hi and math.isfinite(hi)):
             raise DomainError(f"bounds must satisfy 0 < lo < hi < inf, got {self.bounds}")
         if not (0.0 < self.grid < 0.5):
             raise DomainError(f"grid must lie in (0, 0.5), got {self.grid!r}")
-        budget = run_budget(self.pp.N, "R", "MultiParty")
         if self.runs is None:
             object.__setattr__(self, "runs", budget)
         elif not (1 <= self.runs <= budget):
@@ -191,22 +185,22 @@ def _optimize_run(
 
     # Phase A: geometric ladder to the first feasible scale.  It climbs on
     # while some coordinate is below hi: once hi clamps the largest ones, the
-    # others still grow.
-    best_pe, best_alphas, best_ths = math.inf, at(lo), (0,) * n_var
+    # others still grow.  Its first rung, lo, is always tried: lo * min(ray) < hi.
+    tried = []
     scale, prev = lo, None
     feasible_scale = None
     while scale * min(ray) <= hi * (1.0 + 1e-9):
         alphas = at(scale)
         pe, ths = evaluate(alphas)
-        if pe < best_pe:
-            best_pe, best_alphas, best_ths = pe, alphas, ths
+        tried.append((pe, alphas, ths))
         if pe <= eps:
             feasible_scale = scale
             break
         prev = scale
         scale *= 1.3
     if feasible_scale is None:
-        return best_alphas, best_ths, best_pe, False
+        pe, alphas, ths = min(tried, key=lambda t: t[0])  # the first least error
+        return alphas, ths, pe, False
     if prev is not None:
         feasible_scale = narrow(prev, feasible_scale, at)
     alphas = list(at(feasible_scale))
@@ -230,8 +224,6 @@ def _optimize_run(
                     pe, _ = evaluate(alphas)
                     if pe <= eps:
                         c_hi = x
-                        if x <= lo:
-                            break
                     else:
                         c_lo = x
                         break
@@ -295,10 +287,6 @@ def evaluate_fixed(
     params: Sequence[RunConfig], problem: OptimizationProblem
 ) -> OptimizationResult:
     """Audit fixed parameter rows: no search, just q_r and the achieved error."""
-    if not params:
-        raise DomainError("need at least one run")
-    if len(params) > run_budget(problem.pp.N, "R", "MultiParty"):
-        raise DomainError(f"at most {run_budget(problem.pp.N, 'R', 'MultiParty')} runs")
     check_schedule(params, problem.pp.N, problem.encoding)
     pairs = [
         _run_profiles(problem, run_index, rc.alphas)

@@ -29,6 +29,7 @@ from .core import (
     Encoding,
     ProtocolParams,
     Relationship,
+    check_network,
     relationship_profile,
     run_pairing,
 )
@@ -85,11 +86,6 @@ def _profile(
     return ClickProfile(tuple(probs), pulses)
 
 
-def _check_four_party(channel: ChannelModel, protocol: ProtocolParams) -> None:
-    if protocol.N != 4 or channel.n_senders != 4:
-        raise DomainError("four-party model needs N = 4 in protocol and channel")
-
-
 def four_party_symmetric(
     rel: Relationship,
     mu: float,
@@ -109,7 +105,7 @@ def four_party_symmetric(
         detector 3: mirror of detector 1 (pair-split bright, all-agree dark)
         detector 4: like detector 2 for ports 3,4
     """
-    _check_four_party(channel, protocol)
+    check_network(4, protocol.N, channel.n_senders)
     if not channel.symmetric():
         raise DomainError("channel transmissions differ: use four_party_asymmetric")
     if not (mu >= 0.0 and math.isfinite(mu)):
@@ -181,8 +177,7 @@ def two_party_asymmetric(
     intensity, and half-flipped pairs (relative phase +-i) land on the
     self-complementary cross intensity (b1**2 + b2**2) / m.
     """
-    if protocol.N != 2 or channel.n_senders != 2:
-        raise DomainError("two-party model needs N = 2 throughout")
+    check_network(2, protocol.N, channel.n_senders)
     delta = protocol.delta
     m = protocol.m
     b1, b2 = _attenuated(alphas, channel, (1, 2))
@@ -229,7 +224,7 @@ def four_party_asymmetric(
     detector's Different probability its row under a single-sender split
     that the detector sees.
     """
-    _check_four_party(channel, protocol)
+    check_network(4, protocol.N, channel.n_senders)
     delta = protocol.delta
     m = protocol.m
     bi, bj, bk, bl = _attenuated(alphas, channel, run_pairing(run_index, 4))

@@ -14,6 +14,7 @@ from qfnet.core import (
     ProtocolParams,
     Relationship,
     RunConfig,
+    check_network,
     check_schedule,
     enumerate_relationships,
     observed_detectors,
@@ -21,6 +22,7 @@ from qfnet.core import (
     run_pairing,
     worst_case_regions,
 )
+from qfnet.decision import run_budget
 
 BELL = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -200,6 +202,8 @@ def test_regions_infeasible_delta_rejected():
     with pytest.raises(DomainError):
         worst_case_regions(abcd, 0.6)  # 7 * 0.6 / 4 > 1
     worst_case_regions(abcd, 4 / 7)  # boundary is fine
+    with pytest.raises(DomainError, match="delta"):
+        worst_case_regions(abcd, 1.5)
 
 
 # --- pattern fractions per pairing -----------------------------------------
@@ -275,6 +279,7 @@ def test_protocol_params_validation():
         dict(epsilon=0.0),
         dict(epsilon=1.0),
         dict(N=1),
+        dict(n=1, c=0.2),  # round(c * n) = 0
     ):
         kw = dict(n=100, c=2.0, delta=0.22, epsilon=0.01, N=4)
         kw.update(bad)
@@ -337,6 +342,10 @@ def test_run_pairing_schedule():
     assert run_pairing(1, 2) == (1, 2)
     with pytest.raises(DomainError):
         run_pairing(4)
+    with pytest.raises(DomainError, match="1..1"):
+        run_pairing(2, 2)  # two senders have a single run
+    with pytest.raises(DomainError, match="2 or 4 senders"):
+        run_pairing(1, 3)
 
 
 def test_observed_detectors():
@@ -344,6 +353,32 @@ def test_observed_detectors():
     assert observed_detectors(4) == (1, 2, 3)
     with pytest.raises(DomainError):
         observed_detectors(3)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_check_network_returns_the_schedule_length(n):
+    runs = check_network(n, n, n)
+    assert runs == run_budget(n, "R", "MultiParty") == n - 1
+    assert observed_detectors(n) == tuple(range(1, n))
+    assert [run_pairing(i, n)[0] for i in range(1, runs + 1)] == [1] * runs
+    with pytest.raises(DomainError):
+        run_pairing(runs + 1, n)  # the schedule has exactly runs pairings
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_check_network_rejects_unmodelled_sender_counts(n):
+    with pytest.raises(DomainError, match="2 or 4 senders"):
+        check_network(n, n)
+
+
+def test_check_network_rejects_mismatched_sizes_and_two_bit_on_four():
+    assert check_network(2, encoding=Encoding.TWO_BIT) == 1
+    with pytest.raises(DomainError, match="sized for 2"):
+        check_network(4, 4, 2, 4)
+    with pytest.raises(DomainError, match="sized for 4"):
+        check_network(2, 4)
+    with pytest.raises(DomainError, match="two-bit"):
+        check_network(4, 4, encoding=Encoding.TWO_BIT)
 
 
 def test_run_config_validation():
@@ -359,6 +394,8 @@ def test_run_config_validation():
         RunConfig(alphas=(-1.0, 2.0), pairing=(1, 2), thresholds=(5,))
     with pytest.raises(DomainError):
         RunConfig(alphas=(1.0, 2.0), pairing=(1, 2), thresholds=(-1,))
+    with pytest.raises(DomainError, match="an Encoding"):
+        RunConfig(alphas=(1.0, 2.0), pairing=(1, 2), thresholds=(5,), encoding="single-bit")
 
 
 @pytest.mark.parametrize(
@@ -396,3 +433,5 @@ def test_check_schedule():
         check_schedule(runs[1:], 4, Encoding.SINGLE_BIT)
     with pytest.raises(DomainError, match="encoding"):
         check_schedule(runs, 4, Encoding.TWO_BIT)
+    with pytest.raises(DomainError, match="pairing"):
+        check_schedule(runs + runs[:1], 4, Encoding.SINGLE_BIT)  # past the schedule

@@ -132,6 +132,9 @@ def test_resolve_waits_for_more_runs():
     step = resolve_f_r(["111", "111"])
     assert isinstance(step, NeedMoreRuns)
     assert step.next_pairing == run_pairing(3)
+    # the schedule walk returns an unfinished prefix undecided, with its length
+    assert resolve_schedule(4, ["111"]) == (None, 1)
+    assert resolve_schedule(4, []) == (None, 0)
 
 
 def test_resolve_all_abcd_signatures():
@@ -290,6 +293,14 @@ def test_resolve_f_ae_modes():
         resolve_f_ae((1, 2), thresholds=(5,), mode=MODE_REFERENCE)
     with pytest.raises(DomainError):
         resolve_f_ae((-1,), thresholds=(5,), mode=MODE_REFERENCE)
+    with pytest.raises(DomainError, match="SumDetectors"):
+        resolve_f_ae((1, 2), thresholds=(5, 5), mode=MODE_SUM)
+    with pytest.raises(DomainError, match="SumDetectors"):
+        resolve_f_ae((), thresholds=(5,), mode=MODE_SUM)
+    with pytest.raises(DomainError, match="TwoDetector"):
+        resolve_f_ae((1, 2, 3), thresholds=(5, 5), mode=MODE_TWO_DETECTOR)
+    with pytest.raises(DomainError, match="TwoDetector"):
+        resolve_f_ae((1, 2), thresholds=(5,), mode=MODE_TWO_DETECTOR)
 
 
 def test_resolve_f_ae_boundary_counts():
@@ -315,6 +326,8 @@ def test_run_budget_table():
         run_budget(4, "R", "Telepathy")
     with pytest.raises(DomainError):
         run_budget(4, "EE", "MultiParty")
+    with pytest.raises(DomainError, match="N must be >= 2"):
+        run_budget(1, "R", "MultiParty")
 
 
 def test_pairwise_run_counts_match_published_comparison():

@@ -129,6 +129,8 @@ def test_symmetric_profile_rejects_unequal_channels():
     ch = ChannelModel(eta=(0.5, 0.5, 0.5, 0.4))
     with pytest.raises(DomainError):
         four_party_symmetric(Relationship.from_label("AABB"), 30.0, ch, pp)
+    with pytest.raises(DomainError, match="mu"):
+        four_party_symmetric(Relationship.from_label("AABB"), -1.0, ChannelModel((0.5,) * 4), pp)
 
 
 # --- two-party ---------------------------------------------------------------

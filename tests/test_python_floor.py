@@ -1,7 +1,8 @@
 """Every Python file parses under the oldest version pyproject.toml allows.
 
 Tier-1 runs on one interpreter; syntax newer than the floor (``except*``,
-say) would only fail on the floor version itself.
+say) would only fail on the floor version itself, so CI's matrix must
+include the floor.
 """
 
 import ast
@@ -36,3 +37,10 @@ def test_floor_check_catches_newer_syntax():
     except_star = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # Python 3.11
     with pytest.raises(SyntaxError):
         ast.parse(except_star, feature_version=_floor())
+
+
+def test_ci_matrix_tests_the_requires_python_floor():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"python-version:\s*\[([^\]]*)\]", workflow).group(1)
+    versions = [tuple(map(int, v)) for v in re.findall(r'"(\d+)\.(\d+)"', matrix)]
+    assert versions and min(versions) == _floor()

@@ -213,6 +213,8 @@ def test_count_model_validation():
         tail_above(CountModel(10, 0.5), 11)
     with pytest.raises(DomainError):
         tail_below(CountModel(10, 0.5), -1)
+    with pytest.raises(DomainError, match="integers"):
+        tail_above(CountModel(10, 0.5), 2.0)
 
 
 # --- threshold selection -----------------------------------------------------
