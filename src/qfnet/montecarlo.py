@@ -4,40 +4,25 @@ The joint codewords enter as a pulse budget: the worst-case pattern regions
 of optics.region_click_matrix get integer pulse counts by largest-remainder
 apportionment of their weights, so pairwise distances are exact to one pulse
 rather than binomially noisy — the distance guarantee an error-correcting
-code provides.  Per trial, detector counts are binomial draws per
-(region, detector) cell from the kernel's click probabilities plus dark
-counts (independent detectors per pulse).  The referee reads the runs
-adaptively, exactly as decision.resolve_schedule does, and the resolved
-relationship is compared with the truth; each distinct outcome pattern
-(packed into one integer code per trial) is resolved once.
+code provides.  A detector's count in one run is a sum of independent
+binomials over the regions, from the kernel's click probabilities plus dark
+counts; its exact law is built once per campaign and inverted at one
+uniform per count.  The referee reads the runs adaptively, exactly as
+decision.resolve_schedule does; each distinct outcome pattern (one integer
+code per trial) is resolved once and compared with the truth.
 
-Randomness uses counter-based Philox streams keyed by (seed, trial), so any
-subset of trials can be reproduced independently.  Each trial draws every
-scheduled run in one vectorized call, in schedule order, so the runs the
-referee skips come after the executed ones in the trial's stream and change
-none of their counts.  The counts of a campaign are held as one int64 array
-in an anonymous shared mapping: 8 * runs * N bytes per trial (96 B for four
-senders).  One Philox generator serves each contiguous range of trials,
-re-keyed per trial; the raw region cells are summed per block of trials.
-Neither changes any trial's stream.
-
-One driver draws every campaign.  A campaign of at least
-2 * _MIN_WORKER_TRIALS trials is split among up to one process per usable
-CPU, each with at least _MIN_WORKER_TRIALS trials: forked children each fill
-one contiguous range of the shared counts in place, and the caller draws the
-first range itself.  Each trial's counts come from its own key, so the
-output does not depend on the number of CPUs.  A smaller campaign, or one
-where forking is unsafe or unavailable (another thread is alive, the caller
-is a daemonic process, or the platform has no fork start method), is one
-range that the caller draws with no child.
+Trial t has its own counter-based Philox4x64-10 stream keyed (seed, t + 1),
+so any subset of trials can be reproduced.  Its count (r, d) inverts the
+law at double r * N + d of Generator(Philox(key=np.array([seed, t + 1],
+dtype=np.uint64))).random(runs * N), so the runs the referee skips come
+after the ones it reads.  The streams of a chunk of trials are computed in
+one numpy uint64 pass, in this process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,10 +49,12 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_BLOCK_TRIALS = 1024  # trials whose raw region cells are held at once
-# Trials per worker process: a fork and a join (a few ms) stay under ~10% of
-# one worker's share at 20-35 us per trial.
-_MIN_WORKER_TRIALS = 2048
+_CHUNK_TRIALS = 1024  # trials whose uniforms are computed in one pass
+# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -152,95 +139,101 @@ class TrialReport:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
 
 
-def _draw_range(
-    n_col: np.ndarray, click: np.ndarray, seed: int, start: int, out: np.ndarray
-) -> None:
-    """Draw trials start .. start + len(out) into out, a (trials, runs, N) int64 view.
+def _binomial_pmf(n: int, p: float) -> tuple[int, np.ndarray]:
+    """Binomial(n, p) pmf on lo .. lo + len(pmf) - 1, normalised: (lo, pmf).
 
-    click[run, region, detector] are the click probabilities and n_col the
-    pulses per region (a column); trial t draws all cells in one call from
-    Philox(key=[seed, t + 1]) and sums them over the regions.
-
-    A Philox stream is fixed by its key and counter, so one generator is
-    built per range and re-keyed per trial by restoring its fresh state with
-    the trial's key: the same stream as a new generator, without the
-    constructor's cost.  The raw cells of up to _BLOCK_TRIALS trials are
-    summed over the regions in one call per block.
+    The support is mean +- (10 sd + 10), clipped to 0 .. n, which leaves out
+    less than 2**-60 of the mass on each side.  The pmf comes from the ratio
+    recurrence outward from the mode, which keeps full relative precision
+    where gammaln differences would cancel.
     """
-    trials = len(out)
-    runs, regions, detectors = click.shape
-    raw = np.empty((min(trials, _BLOCK_TRIALS), runs, regions, detectors), dtype=np.int64)
-    bitgen = np.random.Philox(key=[seed, start + 1])
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0, empty buffer
-    key = fresh["state"]["key"]
-    for lo in range(0, trials, _BLOCK_TRIALS):
-        block = raw[: min(trials - lo, _BLOCK_TRIALS)]
-        for i in range(len(block)):
-            key[1] = start + lo + i + 1
-            bitgen.state = fresh
-            block[i] = rng.binomial(n_col, click)
-        block.sum(axis=2, out=out[lo : lo + len(block)])
+    if p == 0.0 or p == 1.0:
+        return (n if p == 1.0 else 0), np.ones(1)
+    mean, q = n * p, 1.0 - p
+    half = 10.0 * math.sqrt(mean * q) + 10.0
+    lo, hi = max(0, math.floor(mean - half)), min(n, math.ceil(mean + half))
+    mode = min(max(math.floor((n + 1) * p), lo), hi)
+    above = np.arange(mode, hi, dtype=np.float64)  # pmf(k + 1) / pmf(k)
+    below = np.arange(lo + 1, mode + 1, dtype=np.float64)  # pmf(k - 1) / pmf(k)
+    down = np.cumprod((below / (n - below + 1) * (q / p))[::-1])[::-1]
+    up = np.cumprod((n - above) / (above + 1) * (p / q))
+    pmf = np.concatenate((down, [1.0], up))
+    return lo, pmf / pmf.sum()
 
 
-def _worker_count(trials: int) -> int:
-    """Processes to draw a campaign on: 1 unless forking is safe and pays."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, trials // _MIN_WORKER_TRIALS)
-    # A thread may hold a lock at the fork that no thread of the child releases.
-    if workers < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing
+def _count_law(pulses: Sequence[int], probs: Sequence[float]) -> tuple[int, np.ndarray]:
+    """Law of sum_i Binomial(pulses[i], probs[i]) as (offset, cdf).
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    # A daemonic process may not have children.
-    return 1 if multiprocessing.current_process().daemon else workers
-
-
-def _draw_counts(n_col: np.ndarray, click: np.ndarray, seed: int, trials: int) -> np.ndarray:
-    """Detector counts of every scheduled run: (trials, runs, N) int64.
-
-    The counts live in an anonymous shared mapping split into W contiguous
-    ranges of trials, W from _worker_count: W - 1 forked children fill the
-    later ones in place while this process draws the first, then joins them.
-    With W = 1 no child is made and this process draws every trial.  Every
-    trial is drawn from its own key either way, so the counts do not depend
-    on W.  A child that exits non-zero would leave its range unwritten, so it
-    makes the draw raise; on any error the children still running are
-    terminated.
+    cdf[j] is P(count <= offset + j) and ends at exactly 1.0.  Regions with
+    the same click probability are one binomial; the parts are convolved
+    through numpy.fft.
     """
-    import mmap
-    import multiprocessing
+    merged: dict[float, int] = {}
+    for n, p in zip(pulses, probs):
+        if n:
+            merged[p] = merged.get(p, 0) + n
+    parts = [_binomial_pmf(n, p) for p, n in merged.items()]
+    offset = sum(lo for lo, _ in parts)
+    pmf = parts[0][1]
+    if len(parts) > 1:
+        size = sum(len(part) for _, part in parts) - len(parts) + 1
+        nfft = 1 << (size - 1).bit_length()
+        spectrum = np.prod([np.fft.rfft(part, nfft) for _, part in parts], axis=0)
+        pmf = np.clip(np.fft.irfft(spectrum, nfft)[:size], 0.0, None)
+    cdf = np.cumsum(pmf)
+    return offset, cdf / cdf[-1]
 
-    runs, _, detectors = click.shape
-    workers = _worker_count(trials)
-    shared = mmap.mmap(-1, 8 * trials * runs * detectors)  # MAP_SHARED | MAP_ANONYMOUS
-    counts = np.frombuffer(shared, dtype=np.int64).reshape(trials, runs, detectors)
-    bounds = [trials * w // workers for w in range(workers + 1)]
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            child = multiprocessing.get_context("fork").Process(
-                target=_draw_range, args=(n_col, click, seed, lo, counts[lo:hi])
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of m * x, the high one from 32-bit half products."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    return np.uint64(m) * x, m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def _philox_words(seed: int, start: int, stop: int, words: int) -> np.ndarray:
+    """The first words 64-bit outputs of trials start .. stop - 1: (stop - start, words) uint64.
+
+    Trial t's stream is Philox4x64-10 keyed (seed, t + 1); its block b = 1,
+    2, ... encrypts the counter (b, 0, 0, 0).  That is the stream
+    np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64)) returns
+    from random_raw.
+    """
+    blocks = -(-words // 4)
+    shape = (stop - start, blocks)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    k1 = np.arange(start + 1, stop + 1, dtype=np.uint64)[:, None]
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
+        x2 = hi0 ^ x3 ^ (k1 + np.uint64(r * _PHILOX_W[1] % 2**64))
+        x0, x1, x3 = hi1 ^ x1 ^ k0, lo1, lo0
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(stop - start, -1)[:, :words]
+
+
+def _draw_counts(
+    laws: Sequence[Sequence[tuple[int, np.ndarray]]], seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Counts of trials start .. stop - 1: (stop - start, runs, N) int64.
+
+    laws[r][d] is (offset, cdf) of run r, detector d.  Trial t's count (r, d)
+    inverts that law at uniform r * N + d of the trial's stream, a double
+    (w >> 11) * 2**-53 as Generator.random makes it from word w.
+    """
+    flat = [law for run in laws for law in run]
+    counts = np.empty((stop - start, len(flat)), dtype=np.int64)
+    for lo in range(start, stop, _CHUNK_TRIALS):
+        hi = min(lo + _CHUNK_TRIALS, stop)
+        uniforms = (_philox_words(seed, lo, hi, len(flat)).T >> np.uint64(11)) * 2.0**-53
+        for j, (offset, cdf) in enumerate(flat):
+            counts[lo - start : hi - start, j] = offset + np.searchsorted(
+                cdf, uniforms[j], side="right"
             )
-            child.start()
-            children.append(child)
-        _draw_range(n_col, click, seed, 0, counts[: bounds[1]])
-        for child in children:
-            child.join()
-        failed = [(lo, child.exitcode) for lo, child in zip(bounds[1:], children) if child.exitcode]
-    finally:
-        for child in children:
-            child.terminate()  # a no-op for a child that has been joined
-            child.join()
-            child.close()
-    if failed:
-        raise RuntimeError(
-            "trial draw workers failed: "
-            + ", ".join(f"trials from {lo} exited with code {code}" for lo, code in failed)
-        )
-    return counts
+    return counts.reshape(stop - start, len(laws), -1)
 
 
 def simulate(spec: TrialSpec) -> TrialReport:
@@ -248,11 +241,11 @@ def simulate(spec: TrialSpec) -> TrialReport:
     kernels = [region_click_matrix(spec.rel, run, spec.ch, spec.pp) for run in spec.runs]
     weights = kernels[0][0]  # the region weights are the same for every run
     click = np.clip(np.stack([probs for _, probs in kernels]) + spec.ch.dark_count, 0.0, 1.0)
-    pulses = spec.runs[0].encoding.pulses(spec.pp.m)
-    n_col = np.array(_apportion(weights, pulses), dtype=np.int64)[:, None]
-    analytic_means = n_col[:, 0] @ click
+    pulses = _apportion(weights, spec.runs[0].encoding.pulses(spec.pp.m))
+    analytic_means = np.array(pulses, dtype=np.int64) @ click
+    laws = [[_count_law(pulses, column) for column in run.T.tolist()] for run in click]
 
-    counts = _draw_counts(n_col, click, spec.seed, spec.trials)
+    counts = _draw_counts(laws, spec.seed, 0, spec.trials)
     observed = observed_detectors(spec.pp.N)  # the contiguous difference ports
     bits = outcome_bits(
         counts[..., observed[0] : observed[-1] + 1], [run.thresholds for run in spec.runs]
@@ -272,13 +265,17 @@ def simulate(spec: TrialSpec) -> TrialReport:
         int(c) for c in np.bincount(grade[inverse], minlength=3)
     )
 
+    # sums over the executed trials through a 0/1 mask, not a copy of their
+    # counts: int64 for the counts, float64 for their squares
     stats = []
     for run_index in range(len(spec.runs)):
-        executed = counts[runs_used > run_index, run_index]
-        k = len(executed)
+        executed = (runs_used > run_index).astype(np.int64)
+        k = int(executed.sum())
         if k:
-            mean = executed.sum(axis=0) / k
-            var = np.square(executed, dtype=np.float64).sum(axis=0) / k - mean**2
+            run_counts = counts[:, run_index]
+            mean = np.einsum("t,td->d", executed, run_counts) / k
+            square_sum = np.einsum("t,td,td->d", executed, run_counts, run_counts, dtype=np.float64)
+            var = square_sum / k - mean**2
             if k > 1:  # unbiased sample variance
                 var = var * k / (k - 1)
             mean_l, var_l = [float(x) for x in mean], [float(max(0.0, v)) for v in var]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    _SINGLE_BIT,
     ChannelModel,
     DomainError,
     Encoding,
@@ -181,7 +182,7 @@ def two_party_asymmetric(
     delta = protocol.delta
     m = protocol.m
     b1, b2 = _attenuated(alphas, channel, (1, 2))
-    if encoding is Encoding.SINGLE_BIT:
+    if encoding is _SINGLE_BIT:
         eq, diff = _pair_terms(b1, b2, delta, m)
     else:
         i_diff = (b1 - b2) ** 2 / m

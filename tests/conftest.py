@@ -3,8 +3,8 @@
 import math
 import os
 
-# One BLAS thread, set before numpy loads (as bench/run.py does): simulate
-# forks, and Python >= 3.12 warns on a fork while a BLAS pool thread is alive.
+# One BLAS thread, set before numpy loads, as bench/run.py sets it: the suite
+# runs numpy's matrix products as the benchmark does and starts no BLAS pool.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
