@@ -53,8 +53,6 @@ _CHUNK_TRIALS = 1024  # trials whose uniforms are computed in one pass
 # Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -187,10 +185,10 @@ def _count_law(pulses: Sequence[int], probs: Sequence[float]) -> tuple[int, np.n
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low and high 64-bit words of m * x, the high one from 32-bit half products."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
     lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    return np.uint64(m) * x, m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    mid = ((m_lo * x_lo) >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
+    return np.uint64(m) * x, m_hi * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
 
 
 def _philox_words(seed: int, start: int, stop: int, words: int) -> np.ndarray:
@@ -228,7 +226,7 @@ def _draw_counts(
     counts = np.empty((stop - start, len(flat)), dtype=np.int64)
     for lo in range(start, stop, _CHUNK_TRIALS):
         hi = min(lo + _CHUNK_TRIALS, stop)
-        uniforms = (_philox_words(seed, lo, hi, len(flat)).T >> np.uint64(11)) * 2.0**-53
+        uniforms = (_philox_words(seed, lo, hi, len(flat)).T >> 11) * 2.0**-53
         for j, (offset, cdf) in enumerate(flat):
             counts[lo - start : hi - start, j] = offset + np.searchsorted(
                 cdf, uniforms[j], side="right"
