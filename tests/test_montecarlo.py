@@ -278,22 +278,21 @@ def _schedule_laws(spec):
     return pulses, click, laws
 
 
-def _trial_generator(seed, t):
+def _trial_philox(seed, t):
     # the key as uint64 words: numpy reads a list with an entry >= 2**63 through float64
-    return np.random.Generator(np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64)))
+    return np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", [0, DESK_SEED, 2**64 - 1])
 def test_philox_words_are_numpys_philox(seed):
     for t in (0, 1023, 1024, 2**32):
         for words in (2, 12):
-            want = np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64)).random_raw(words)
+            want = _trial_philox(seed, t).random_raw(words)
             np.testing.assert_array_equal(_philox_words(seed, t, t + 1, words)[0], want)
     # one pass over a range of trials is each trial's own stream
     block = _philox_words(seed, 1020, 1030, 12)
     for i, t in enumerate(range(1020, 1030)):
-        want = np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64)).random_raw(12)
-        np.testing.assert_array_equal(block[i], want)
+        np.testing.assert_array_equal(block[i], _trial_philox(seed, t).random_raw(12))
 
 
 def test_trial_counts_come_from_the_trial_key(desk_setup):
@@ -306,7 +305,7 @@ def test_trial_counts_come_from_the_trial_key(desk_setup):
     assert counts.shape == (trials, 3, 4) and counts.dtype == np.int64
     # both sides of the chunk boundary, and the last trial of the short chunk
     for t in (0, 1, 7, _CHUNK_TRIALS - 1, _CHUNK_TRIALS, trials - 1):
-        u = _trial_generator(spec.seed, t).random(3 * 4)
+        u = np.random.Generator(_trial_philox(spec.seed, t)).random(3 * 4)
         # run r reads uniforms 4r .. 4r + 3: a run the referee skips comes
         # after the ones it reads
         for r in range(3):
