@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +337,92 @@ def test_trial_ranges_reproduce(desk_setup):
     np.testing.assert_array_equal(np.concatenate(pieces), whole)
     # a suffix that does not start at 0 or on a chunk boundary
     np.testing.assert_array_equal(_draw_counts(laws, spec.seed, 777, trials), whole[777:])
+
+
+# --- in-process draw ---------------------------------------------------------
+#
+# simulate draws in the calling process whatever the CPUs, the campaign size,
+# the caller's threads, the start methods or a daemonic caller: a process it
+# starts fails these tests, and its report is the pinned one.
+
+
+def _forbid_processes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the draw started a process")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+def test_one_cpu_draws_serially(desk_setup, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _forbid_processes(monkeypatch)
+    for label in sorted(_PINNED_MULTI_BLOCK):
+        assert _digest(simulate(_multi_block_spec(desk_setup, label))) == _PINNED_MULTI_BLOCK[label]
+
+
+def test_small_campaign_draws_serially(desk_setup, monkeypatch):
+    # campaigns shorter than one chunk, down to a single trial
+    spec = desk_spec("AABC", desk_setup)
+    _, _, laws = _schedule_laws(spec)
+    whole = _draw_counts(laws, spec.seed, 0, _CHUNK_TRIALS)
+    _forbid_processes(monkeypatch)
+    for trials in (1, 2, _CHUNK_TRIALS - 1):
+        np.testing.assert_array_equal(_draw_counts(laws, spec.seed, 0, trials), whole[:trials])
+        report = simulate(dataclasses.replace(spec, trials=trials))
+        assert sum(report.runs_histogram.values()) == trials
+    # one trial: its own counts are the means, with no spread
+    first = simulate(dataclasses.replace(spec, trials=1)).per_detector_count_stats[0]
+    assert first["executions"] == 1
+    assert first["mean"] == [float(c) for c in whole[0, 0]]
+    assert first["variance"] == [0.0] * len(first["mean"])
+
+
+def test_threaded_caller_draws_serially(desk_setup, monkeypatch):
+    # two threads drawing the same campaign at once share no draw state
+    spec = _multi_block_spec(desk_setup, "ABBA")
+    _forbid_processes(monkeypatch)
+    digests = []
+    thread = threading.Thread(target=lambda: digests.append(_digest(simulate(spec))))
+    thread.start()
+    try:
+        mine = _digest(simulate(spec))
+    finally:
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert digests == [mine] == [_PINNED_MULTI_BLOCK["ABBA"]]
+
+
+def test_no_fork_method_draws_serially(desk_setup, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    _forbid_processes(monkeypatch)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _digest(simulate(_multi_block_spec(desk_setup, "AABC"))) == _PINNED_MULTI_BLOCK["AABC"]
+
+
+def _simulate_in_daemon(spec, want):
+    # runs in a daemonic child, which may not start processes of its own
+    assert multiprocessing.current_process().daemon
+    os.fork = None
+    assert _digest(simulate(spec)) == want
+
+
+def test_daemonic_caller_draws_serially(desk_setup):
+    # spawned, not forked: the test process itself starts no fork either
+    child = multiprocessing.get_context("spawn").Process(
+        target=_simulate_in_daemon,
+        args=(_multi_block_spec(desk_setup, "AABC"), _PINNED_MULTI_BLOCK["AABC"]),
+        daemon=True,
+    )
+    child.start()
+    try:
+        child.join(timeout=120)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 # --- count laws --------------------------------------------------------------
