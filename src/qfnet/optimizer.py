@@ -14,12 +14,13 @@ coordinate, so once the upper bound clamps the largest ones the ladder climbs
 on while the smaller ones grow, until the smallest reaches the bound.
 The search never leaves that clamped ray: under a tight upper bound it can
 report infeasible where points off the ray meet epsilon.
-A two-party run over unequal transmissions then gets a per-coordinate descent
-that walks each amplitude down while feasibility holds.  One optimize() call
-chooses a threshold once per distinct (Equal, Different) pulses and
-probabilities of a detector: on the ray detectors 2 and 4 often share them,
-and later four-party runs revisit the first run's ray points, where most
-probabilities repeat to the bit (T_asym4: 252 lookups, 70 choices).
+A two-party run over unequal transmissions then gets an angle search: the
+point s*(cos t, sin t) moves to t +- step where a smaller s meets epsilon,
+and the step halves from 4 degrees until it falls below 0.5.  When run 1's
+attenuated amplitudes are level, every later run sees its fields and takes
+its point.  One optimize() call chooses a threshold once per distinct
+(Equal, Different) pulses and probabilities of a detector: on the ray
+detectors 2 and 4 often share them (T_asym4: 84 lookups, 60 choices).
 
 The error trends down along a ray (more photons separate the hypotheses
 better) but is not monotone: the integer threshold lattice makes it step up
@@ -33,6 +34,7 @@ randomness, fixed iteration orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -165,8 +167,8 @@ def _optimize_run(
     top = max(ray)
     ray = [r / top for r in ray]
 
-    def at(scale: float) -> tuple[float, ...]:
-        return tuple(min(hi, max(lo, scale * r)) for r in ray)
+    def at(scale: float, direction: Sequence[float] = ray) -> tuple[float, ...]:
+        return tuple(min(hi, max(lo, scale * r)) for r in direction)
 
     def evaluate(alphas: Sequence[float]) -> tuple[float, tuple[int, ...]]:
         counter[0] += 1
@@ -203,41 +205,38 @@ def _optimize_run(
         return alphas, ths, pe, False
     if prev is not None:
         feasible_scale = narrow(prev, feasible_scale, at)
-    alphas = list(at(feasible_scale))
+    alphas = at(feasible_scale)
 
-    # Phase B: per-coordinate descent, for two senders over unequal
-    # transmissions only: on a symmetric channel the uniform ray's minimal
-    # scale minimizes the cost, and on four-party channels nearby rays find
-    # nothing cheaper beyond grid (test_four_party_runs_beat_nearby_rays).
+    # Phase B: angle search, for two senders over unequal transmissions
+    # only: on a symmetric channel the uniform ray's minimal scale minimizes
+    # the cost, and on four-party channels nearby rays find nothing cheaper
+    # beyond grid (test_four_party_runs_beat_nearby_rays).  The point is
+    # s*(cos t, sin t), costing s**2 unless a bound clamps it.  A probe at
+    # t +- step one grid below s is skipped when its clamped point costs no
+    # less; one that meets epsilon is walked down its own angle and narrowed,
+    # and becomes the point.  When neither probe does, the step halves.
     if n_var == 2 and not problem.ch.symmetric():
-        for _ in range(8):
-            improved = False
-            for k in range(n_var):
-                current = alphas[k]
-                if current <= lo * (1.0 + 1e-12):
+        s, t = math.hypot(*alphas), math.atan2(alphas[1], alphas[0])
+        step = math.radians(4.0)
+        while step >= math.radians(0.5):
+            for angle in (t + step, t - step):
+                point = functools.partial(at, direction=(math.cos(angle), math.sin(angle)))
+                x = s / (1.0 + problem.grid)
+                if math.hypot(*point(x)) >= math.hypot(*alphas) or evaluate(point(x))[0] > eps:
                     continue
-                c_hi, c_lo = current, None
-                x = current
-                while x > lo:
-                    x = max(lo, x * 0.8)
-                    alphas[k] = x
-                    pe, _ = evaluate(alphas)
-                    if pe <= eps:
-                        c_hi = x
-                    else:
-                        c_lo = x
+                while math.hypot(*point(x * 0.995)) < math.hypot(*point(x)):
+                    if evaluate(point(x * 0.995))[0] > eps:
+                        x = narrow(x * 0.995, x, point)
                         break
-                if c_lo is not None:
-                    c_hi = narrow(c_lo, c_hi, lambda x: (*alphas[:k], x, *alphas[k + 1 :]))
-                alphas[k] = c_hi
-                if c_hi < current * (1.0 - 1e-12):
-                    improved = True
-            if not improved:
+                    x *= 0.995
+                s, t, alphas = x, angle, point(x)
                 break
+            else:
+                step /= 2
     # alphas is the last point evaluated feasible: this re-evaluation only
     # recovers its thresholds and error.
     pe, ths = evaluate(alphas)
-    return tuple(alphas), ths, pe, pe <= eps
+    return alphas, ths, pe, pe <= eps
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
@@ -254,24 +253,21 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     all_feasible = True
     assert problem.runs is not None
     for run_index in range(1, problem.runs + 1):
-        if problem.ch.symmetric() and run_index > 1:
-            # identical stats in every run when the channel is symmetric
+        pairing = run_pairing(run_index, problem.pp.N)
+        if run_index > 1:
+            # When run 1's attenuated amplitudes are level, every pairing sees
+            # its fields and its search would return run 1's point.  A bound
+            # that clamps them leaves them unequal, and each run is searched
+            # (test_clamped_four_party_runs_differ_across_runs).
             first = per_run[0]
-            per_run.append(
-                RunConfig(
-                    first.alphas,
-                    run_pairing(run_index, problem.pp.N),
-                    first.thresholds,
-                    first.encoding,
-                )
-            )
-            continue
+            fields = [s * a for s, a in zip(problem.ch.sqrt_eta, first.alphas)]
+            if max(fields) - min(fields) <= 1e-9 * max(fields):
+                per_run.append(RunConfig(first.alphas, pairing, first.thresholds, first.encoding))
+                continue
         alphas, ths, pe, ok = _optimize_run(problem, run_index, evaluations, chosen)
         worst_pe = max(worst_pe, pe)
         all_feasible = all_feasible and ok
-        per_run.append(
-            RunConfig(alphas, run_pairing(run_index, problem.pp.N), ths, problem.encoding)
-        )
+        per_run.append(RunConfig(alphas, pairing, ths, problem.encoding))
     trace = {"mode": "optimize", "evaluations": evaluations[0]}
     if not all_feasible:
         return OptimizationResult(

@@ -419,10 +419,10 @@ _PINNED_TABLES = {
 # may move them.
 _PINNED_AUDITS = {
     "reproduce T3": "faaa42f963f725dccd42afc4fb4fdb66e052d981d9ddbfc065fe97b2a4d23292",
-    "reproduce T4": "924d935e1d44af03cd345671c2104b82e64e8738e1eded494183731eb574fd4f",
-    "reproduce T_twobit": "203f1834e46782b232b1de31a9d4c1a3d5f69ac9b825662cdc72245d9ee2109f",
+    "reproduce T4": "05b9215751b2c46199b7304b92aafe4820327d831f7691c2fe084080904b3102",
+    "reproduce T_twobit": "8a127a52388f25f286ab07edd8d89f5b4cf377f183dfef0f58f82078ba736754",
     "reproduce T_asym4": "6308ba62384b6509abfe50c7f1ee8cc68bd23890bc61a6ec89b211ce8b1a5dce",
-    "reproduce T_vis": "9c7b98985744c8dbd13de63b65bf46545edf564653e6a8cf809f0b2904ea3595",
+    "reproduce T_vis": "2bcfff20c7959fba7f1a2b7890f200f2fe66fd6d6dd1e5988ba8f9310edb6ede",
 }
 
 

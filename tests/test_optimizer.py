@@ -1,5 +1,6 @@
 """Amplitude search under the error budget, and fixed-row audits."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -204,10 +205,10 @@ def test_optimize_result_serializes():
 _DESK_PROTOCOL = {"n": 500_000, "c": 0.2, "delta": 0.22, "epsilon": 1e-3}
 _DESK_DARK_COUNT = 5e-5
 _PINNED_OPTIMIZE = {
-    "T_asym4": "e56b135025f4f610e5a817a728e6bf8f3501974765ff1c9bdf1be7a6d60a7046",
-    "desk4 nu=0.992": "72e8fdba101792f78d070997e1f2b23325ee223111637e6af9bf81c1cf987b84",
-    "desk4 nu=0.9845": "965ad535a062ba0dba537e58967a8fda7a12c21c57a84d23ce678397eedd1d24",
-    "desk2 two-bit": "c7ce68c0245f2a7dc931d7ec3bad026ceaf8ae8c8baded9d5fec9505b97b0d0b",
+    "T_asym4": "57a550e025b5cd12d7de80f2f64a94b06f494f6aba785cdc114027fcf5477dd2",
+    "desk4 nu=0.992": "50083b6b8ad5c374e55e501dad845cd6f17c574a1c70c0a9213e3f7e683443d2",
+    "desk4 nu=0.9845": "c11bca84503c95ed72629b76186a8b1b1c8eaadafd2bd26376dd141d9deaf0ca",
+    "desk2 two-bit": "0bbfe3cce9671a621635e4b8ebf0a4bef52d76f7729f91ef2bb82ab74ae8073b",
 }
 
 
@@ -236,12 +237,13 @@ def test_optimize_output_is_pinned(label):
     assert digest == _PINNED_OPTIMIZE[label]
 
 
-@pytest.mark.parametrize("label, evaluations", [("T_asym4", 84), ("desk4 nu=0.9845", 69)])
+@pytest.mark.parametrize("label, evaluations", [("T_asym4", 28), ("desk4 nu=0.9845", 23)])
 def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evaluations):
     # Along the ray detectors 2 and 4 often share their (Equal, Different)
-    # probabilities, and later runs revisit the first run's ray points, where
-    # most probabilities repeat to the bit; the search must not choose their
-    # thresholds again, and must not keep the choices past one call.
+    # probabilities, and the search's closing evaluation repeats its last
+    # feasible point; the search must not choose those thresholds again, and
+    # must not keep the choices past one call.  Run 1's attenuated amplitudes
+    # are level on these channels, so later runs take run 1's point unsearched.
     calls = []
 
     def counting(equal, different):
@@ -321,8 +323,8 @@ def test_two_party_ray_error_is_not_monotone():
     # the worst error at the best thresholds is feasible at scale 8.78,
     # infeasible at 9.00 and feasible again at 9.05, where the threshold
     # steps from 12 to 13.  The ray's ladder and log-bisection alone stop at
-    # q_r 2 707.80, above the feasible 8.78; the per-coordinate descent
-    # takes the two-party search down to 2 536.29.
+    # q_r 2 707.80, above the feasible 8.78; the angle search must leave the
+    # ray and reach at most 2 536.29, where a per-coordinate descent stopped.
     pp = ProtocolParams(**_DESK_PROTOCOL, N=2)
     ch = ChannelModel.from_sqrt_eta((0.811, 0.938), _DESK_DARK_COUNT, 0.9855)
     inverse = [1.0 / s for s in ch.sqrt_eta]
@@ -338,13 +340,51 @@ def test_two_party_ray_error_is_not_monotone():
         assert (worst <= pp.epsilon) == feasible
     res = optimize(OptimizationProblem(pp=pp, ch=ch, encoding=Encoding.TWO_BIT))
     assert res.feasible
-    assert res.q_r == pytest.approx(2536.29, abs=0.01)
+    assert res.q_r <= 2536.29
     assert res.q_r < q_total([RunConfig([8.78 * r for r in ray], (1, 2), (12,))], pp.n)
 
 
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_two_party_search_is_never_costlier_than_its_ray(encoding):
+    # On seeded desk channels the two-party result costs no more than the
+    # equal-attenuated ray at its own smallest feasible scale, within 2*grid:
+    # under the default bounds, and under a lower bound that clamps the ray's
+    # smaller amplitude (0.98 x the smallest amplitude of the unbounded
+    # result).
+    rng = random.Random(f"two-party ray {encoding.value}")
+    clamped = 0
+    for _ in range(8):
+        sqrt_eta = tuple(rng.uniform(0.5, 0.95) for _ in range(2))
+        ch = ChannelModel.from_sqrt_eta(sqrt_eta, _DESK_DARK_COUNT, rng.uniform(0.97, 1.0))
+        free = OptimizationProblem(
+            pp=ProtocolParams(**_DESK_PROTOCOL, N=2), ch=ch, encoding=encoding
+        )
+        alphas = optimize(free).per_run[0].alphas
+        lo, hi = free.bounds
+        ray = [min(sqrt_eta) / s for s in sqrt_eta]
+        for bounds in ((lo, hi), (0.98 * min(alphas), hi)):
+            problem = dataclasses.replace(free, bounds=bounds)
+
+            def at(scale):
+                return [min(bounds[1], max(bounds[0], scale * r)) for r in ray]
+
+            def feasible(scale):
+                pair = two_party_asymmetric(at(scale), ch, problem.pp, encoding)
+                return _worst_best_error(*pair)[0] <= problem.pp.epsilon
+
+            scale = _smallest_feasible_scale(feasible, bounds[0], bounds[1] / min(ray), free.grid)
+            assert scale is not None, (sqrt_eta, bounds)
+            res = optimize(problem)
+            assert res.feasible, (sqrt_eta, bounds)
+            ray_cost = sum(a * a for a in at(scale)) * math.log2(problem.pp.n)
+            assert res.q_r <= ray_cost * (1.0 + 2.0 * free.grid), (sqrt_eta, bounds)
+            clamped += any(a in bounds for a in at(scale))
+    assert clamped >= 4
+
+
 def test_clamped_four_party_runs_differ_across_runs():
-    # Why optimize() searches each run of an asymmetric four-party channel on
-    # its own instead of replicating run 1 as on a symmetric channel.  Sender
+    # Why optimize() searches each run on its own when a bound clamps run 1's
+    # point, instead of replicating run 1 as when its fields are level.  Sender
     # 3 has the clearest channel, so the equal-attenuated ray gives it the
     # smallest amplitude and the lower bound clamps it at 8: its attenuated
     # amplitude (7.61) then exceeds the other three (6.61).  The detector
@@ -370,6 +410,22 @@ def test_clamped_four_party_runs_differ_across_runs():
     audit = evaluate_fixed(replicated, problem)
     assert audit.p_e == pytest.approx(0.0897, rel=1e-3)
     assert not audit.feasible
+
+
+def test_tight_bounds_report_the_least_error_of_each_run():
+    # Under hi = 18 no point of desk4 nu=0.992's clamped ray meets epsilon.
+    # Senders 1 and 2 sit at hi, so the attenuated amplitudes are unequal,
+    # each run is searched on its own, and each returns its least-error rung
+    # with its own thresholds.
+    problem = dataclasses.replace(_pinned_problem("desk4 nu=0.992"), bounds=(1.0, 18.0))
+    res = optimize(problem)
+    assert not res.feasible
+    assert res.p_e == pytest.approx(3.507469966189296e-3, rel=1e-9)
+    assert res.q_r == pytest.approx(65_364.93054836993, rel=1e-12)
+    alphas = (18.0, 18.0, 15.568732206994396, 16.140411480201045)
+    assert all(rc.alphas == pytest.approx(alphas, rel=1e-12) for rc in res.per_run)
+    assert [rc.thresholds for rc in res.per_run] == [(30, 24, 32), (33, 23, 31), (33, 23, 31)]
+    assert [rc.pairing for rc in res.per_run] == [run_pairing(i, 4) for i in (1, 2, 3)]
 
 
 def test_ladder_climbs_past_a_bound_that_clamps_the_largest_amplitude():
