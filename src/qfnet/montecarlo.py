@@ -7,16 +7,25 @@ rather than binomially noisy — the distance guarantee an error-correcting
 code provides.  A detector's count in one run is a sum of independent
 binomials over the regions, from the kernel's click probabilities plus dark
 counts; its exact law is built once per campaign and inverted at one
-uniform per count.  The referee reads the runs adaptively, exactly as
-decision.resolve_schedule does; each distinct outcome pattern (one integer
-code per trial) is resolved once and compared with the truth.
+uniform per count.  optimizer.evaluate_fixed reads that count as one
+Binomial(pulses, p), p the region-weighted click probability: the mean is
+the same, the variance larger by sum_r pulses_r * (p_r - p)**2.  Criterion 7
+compares means, which agree; test_simulate_count_variances_track_the_law
+checks the region sum.  In the Poisson regime (every bundled row) the two
+laws coincide.
+
+A campaign runs _CHUNK_TRIALS trials at a time.  Each chunk is drawn,
+thresholded and coded (one integer per trial's outcome bits, at most 2**9)
+into a fixed-size tally of trials and of count and squared-count sums per
+code and (run, detector), so memory does not grow with trials.  Each code
+that occurred resolves once, by decision.resolve_schedule reading the runs
+adaptively, and is compared with the truth.
 
 Trial t has its own counter-based Philox4x64-10 stream keyed (seed, t + 1),
 so any subset of trials can be reproduced.  Its count (r, d) inverts the
 law at double r * N + d of Generator(Philox(key=np.array([seed, t + 1],
 dtype=np.uint64))).random(runs * N), so the runs the referee skips come
-after the ones it reads.  The streams of a chunk of trials are computed in
-one numpy uint64 pass, in this process.
+after the ones it reads.
 """
 
 from __future__ import annotations
@@ -41,15 +50,10 @@ from .core import (
 from .decision import outcome_bits, resolve_schedule
 from .optics import region_click_matrix
 
-__all__ = [
-    "TrialSpec",
-    "TrialReport",
-    "simulate",
-    "wilson_interval",
-]
+__all__ = ["TrialSpec", "TrialReport", "simulate", "wilson_interval"]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK_TRIALS = 1024  # trials whose uniforms are computed in one pass
+_CHUNK_TRIALS = 1024  # trials drawn, coded and tallied in one numpy pass
 # Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -104,7 +108,7 @@ class TrialSpec:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Aggregated campaign results.
+    """Aggregated campaign results, every field read from the outcome-code tally.
 
     per_detector_count_stats holds one entry per scheduled run with the
     number of trials that executed it, the empirical count mean/variance per
@@ -223,15 +227,9 @@ def _draw_counts(
     (w >> 11) * 2**-53 as Generator.random makes it from word w.
     """
     flat = [law for run in laws for law in run]
-    counts = np.empty((stop - start, len(flat)), dtype=np.int64)
-    for lo in range(start, stop, _CHUNK_TRIALS):
-        hi = min(lo + _CHUNK_TRIALS, stop)
-        uniforms = (_philox_words(seed, lo, hi, len(flat)).T >> 11) * 2.0**-53
-        for j, (offset, cdf) in enumerate(flat):
-            counts[lo - start : hi - start, j] = offset + np.searchsorted(
-                cdf, uniforms[j], side="right"
-            )
-    return counts.reshape(stop - start, len(laws), -1)
+    uniforms = (_philox_words(seed, start, stop, len(flat)).T >> 11) * 2.0**-53
+    counts = [off + np.searchsorted(cdf, u, side="right") for (off, cdf), u in zip(flat, uniforms)]
+    return np.stack(counts, axis=-1).reshape(stop - start, len(laws), -1)
 
 
 def simulate(spec: TrialSpec) -> TrialReport:
@@ -243,42 +241,45 @@ def simulate(spec: TrialSpec) -> TrialReport:
     analytic_means = np.array(pulses, dtype=np.int64) @ click
     laws = [[_count_law(pulses, column) for column in run.T.tolist()] for run in click]
 
-    counts = _draw_counts(laws, spec.seed, 0, spec.trials)
-    observed = observed_detectors(spec.pp.N)  # the contiguous difference ports
-    bits = outcome_bits(
-        counts[..., observed[0] : observed[-1] + 1], [run.thresholds for run in spec.runs]
-    )
-    # one integer code per trial's outcome pattern; each distinct one resolves once
-    flat = bits.reshape(spec.trials, -1)
-    _, first, inverse = np.unique(
-        flat @ (1 << np.arange(flat.shape[1], dtype=np.int64)),
-        return_index=True,
-        return_inverse=True,
-    )
-    verdicts = [resolve_schedule(spec.pp.N, bits[i]) for i in first]
-    runs_used = np.array([k for _, k in verdicts])[inverse]
-    # 0 correct, 1 incorrect, 2 inconsistent
-    grade = np.array([2 if d is None else int(d.relationship != spec.rel) for d, _ in verdicts])
-    n_correct, n_incorrect, n_inconsistent = (
-        int(c) for c in np.bincount(grade[inverse], minlength=3)
-    )
+    n_runs, n = click.shape[0], spec.pp.N
+    observed = observed_detectors(n)  # the contiguous difference ports
+    thresholds = [run.thresholds for run in spec.runs]
+    # bit j of a trial's outcome code is bit j of its flattened (runs, observed) bits
+    place = 1 << np.arange(n_runs * len(observed), dtype=np.int64)
+    cells = n_runs * n
+    # per code: trials, and float64 sums of counts and squared counts per (run, detector)
+    hits = np.zeros(1 << len(place), dtype=np.int64)
+    sums = np.zeros((2, len(hits), n_runs, n))
+    for lo in range(0, spec.trials, _CHUNK_TRIALS):
+        counts = _draw_counts(laws, spec.seed, lo, min(lo + _CHUNK_TRIALS, spec.trials))
+        bits = outcome_bits(counts[..., observed[0] : observed[-1] + 1], thresholds)
+        codes = bits.reshape(len(counts), -1) @ place
+        hits += np.bincount(codes, minlength=len(hits))
+        cell = (codes[:, None] * cells + np.arange(cells)).ravel()
+        values = counts.ravel().astype(np.float64)
+        sums[0] += np.bincount(cell, values, sums[0].size).reshape(sums[0].shape)
+        sums[1] += np.bincount(cell, values * values, sums[1].size).reshape(sums[1].shape)
 
-    # sums over the executed trials through a 0/1 mask, not a copy of their
-    # counts: int64 for the counts, float64 for their squares
+    # each outcome code that occurred resolves once; 0 correct, 1 incorrect, 2 inconsistent
+    present = np.flatnonzero(hits)
+    verdicts = [resolve_schedule(n, (c & place > 0).reshape(n_runs, -1)) for c in present]
+    used = np.array([k for _, k in verdicts])
+    grade = [2 if d is None else int(d.relationship != spec.rel) for d, _ in verdicts]
+    found = hits[present]
+    n_correct, n_incorrect, n_inconsistent = map(int, np.bincount(grade, found, minlength=3))
+
     stats = []
-    for run_index in range(len(spec.runs)):
-        executed = (runs_used > run_index).astype(np.int64)
-        k = int(executed.sum())
+    for run_index in range(n_runs):
+        executed = used > run_index
+        k = int(found[executed].sum())
+        mean_l, var_l = [], []
         if k:
-            run_counts = counts[:, run_index]
-            mean = np.einsum("t,td->d", executed, run_counts) / k
-            square_sum = np.einsum("t,td,td->d", executed, run_counts, run_counts, dtype=np.float64)
+            total, square_sum = sums[:, present[executed], run_index].sum(axis=1)
+            mean = total / k
             var = square_sum / k - mean**2
             if k > 1:  # unbiased sample variance
                 var = var * k / (k - 1)
             mean_l, var_l = [float(x) for x in mean], [float(max(0.0, v)) for v in var]
-        else:
-            mean_l, var_l = [], []
         stats.append(
             {
                 "run": run_index + 1,
@@ -289,14 +290,13 @@ def simulate(spec: TrialSpec) -> TrialReport:
             }
         )
 
-    t = spec.trials
     return TrialReport(
-        trials=t,
-        empirical_correct_rate=n_correct / t,
-        empirical_incorrect_rate=n_incorrect / t,
-        empirical_inconsistent_rate=n_inconsistent / t,
-        wilson_95=wilson_interval(n_correct, t),
-        mean_runs_used=int(runs_used.sum()) / t,
-        runs_histogram={k: int(c) for k, c in enumerate(np.bincount(runs_used)) if c},
+        trials=spec.trials,
+        empirical_correct_rate=n_correct / spec.trials,
+        empirical_incorrect_rate=n_incorrect / spec.trials,
+        empirical_inconsistent_rate=n_inconsistent / spec.trials,
+        wilson_95=wilson_interval(n_correct, spec.trials),
+        mean_runs_used=int(found @ used) / spec.trials,
+        runs_histogram={k: int(c) for k, c in enumerate(np.bincount(used, found)) if c},
         per_detector_count_stats=tuple(stats),
     )

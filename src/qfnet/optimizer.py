@@ -187,25 +187,23 @@ def _optimize_run(
 
     # Phase A: geometric ladder to the first feasible scale.  It climbs on
     # while some coordinate is below hi: once hi clamps the largest ones, the
-    # others still grow.  Its first rung, lo, is always tried: lo * min(ray) < hi.
+    # others still grow.  Its first rung is lo (lo * min(ray) < hi) and its
+    # last the cap, where every amplitude sits at hi, so no rung steps over it.
+    cap = hi / min(ray)
     tried = []
     scale, prev = lo, None
-    feasible_scale = None
-    while scale * min(ray) <= hi * (1.0 + 1e-9):
+    while True:
         alphas = at(scale)
         pe, ths = evaluate(alphas)
         tried.append((pe, alphas, ths))
-        if pe <= eps:
-            feasible_scale = scale
+        if pe <= eps or scale >= cap:
             break
-        prev = scale
-        scale *= 1.3
-    if feasible_scale is None:
+        prev, scale = scale, min(scale * 1.3, cap)
+    if pe > eps:
         pe, alphas, ths = min(tried, key=lambda t: t[0])  # the first least error
         return alphas, ths, pe, False
     if prev is not None:
-        feasible_scale = narrow(prev, feasible_scale, at)
-    alphas = at(feasible_scale)
+        alphas = at(narrow(prev, scale, at))
 
     # Phase B: angle search, for two senders over unequal transmissions
     # only: on a symmetric channel the uniform ray's minimal scale minimizes

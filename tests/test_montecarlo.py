@@ -6,7 +6,9 @@ import json
 import math
 import multiprocessing
 import os
+import statistics
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from qfnet.core import (
     Relationship,
     RunConfig,
     enumerate_relationships,
+    observed_detectors,
     run_pairing,
     worst_case_regions,
 )
@@ -35,6 +38,7 @@ from qfnet.montecarlo import (
     simulate,
     wilson_interval,
 )
+from qfnet.decision import resolve_schedule
 from qfnet.optics import region_click_matrix
 from qfnet.stats import CountModel, tail_above, tail_below
 from conftest import DESK_SEED
@@ -516,6 +520,85 @@ def test_simulate_count_variances_track_the_law(desk_setup, label, channel):
             assert abs(got - v) <= 4 * se
             checked += 1
     assert checked >= 8
+
+
+# --- outcome-code tally -------------------------------------------------------
+#
+# simulate tallies each chunk of trials by outcome code as it is drawn and
+# keeps no per-trial array, so its result is the campaign reduced trial by
+# trial, and its memory does not grow with trials.
+
+
+def _per_trial_reduction(spec):
+    # one draw over the whole range, each trial resolved and summed on its own
+    _, _, laws = _schedule_laws(spec)
+    counts = _draw_counts(laws, spec.seed, 0, spec.trials).tolist()
+    observed = observed_detectors(spec.pp.N)
+    grades = {"correct": 0, "incorrect": 0, "inconsistent": 0}
+    histogram = {}
+    executed = [[] for _ in spec.runs]
+    for trial in counts:
+        bits = [
+            [row[d] >= t for d, t in zip(observed, run.thresholds)]
+            for row, run in zip(trial, spec.runs)
+        ]
+        decision, used = resolve_schedule(spec.pp.N, bits)
+        if decision is None:
+            grades["inconsistent"] += 1
+        else:
+            grades["correct" if decision.relationship == spec.rel else "incorrect"] += 1
+        histogram[used] = histogram.get(used, 0) + 1
+        for r in range(used):
+            executed[r].append(trial[r])
+    return grades, histogram, executed
+
+
+@pytest.mark.parametrize(
+    "label, channel, trials",
+    [("ABBA", "lossy", 2 * _CHUNK_TRIALS + 300), ("AAAA", "desk", _CHUNK_TRIALS + 300)],
+)
+def test_simulate_is_the_per_trial_reduction(desk_setup, label, channel, trials):
+    pp, ch, runs = desk_setup
+    ch = _LOSSY_CHANNEL if channel == "lossy" else ch
+    spec = TrialSpec(
+        rel=Relationship.from_label(label), pp=pp, ch=ch, runs=runs, trials=trials, seed=DESK_SEED
+    )
+    grades, histogram, executed = _per_trial_reduction(spec)
+    report = simulate(spec)
+    assert report.empirical_correct_rate == grades["correct"] / trials
+    assert report.empirical_incorrect_rate == grades["incorrect"] / trials
+    assert report.empirical_inconsistent_rate == grades["inconsistent"] / trials
+    assert report.wilson_95 == wilson_interval(grades["correct"], trials)
+    assert report.runs_histogram == histogram
+    assert report.mean_runs_used == sum(k * c for k, c in histogram.items()) / trials
+    for entry, rows in zip(report.per_detector_count_stats, executed):
+        assert entry["executions"] == len(rows)
+        # integer sums, so the means are exact; the variances are exact
+        # fractions on one side and float moments on the other
+        assert entry["mean"] == [sum(column) / len(rows) for column in zip(*rows)]
+        if len(rows) > 1:
+            want = [statistics.variance(column) for column in zip(*rows)]
+            assert entry["variance"] == pytest.approx(want, rel=1e-9, abs=1e-12)
+    if label == "ABBA":  # every grade, and trials that stop after 2 and after 3 runs
+        assert min(grades.values()) > 0.1 * trials and set(histogram) == {2, 3}
+    else:
+        assert histogram == {1: trials} and not executed[1]
+
+
+def test_simulate_memory_does_not_grow_with_trials(desk_setup):
+    spec = desk_spec("ABCD", desk_setup)
+    # one campaign first, so that what a process allocates once stays out of both peaks
+    simulate(dataclasses.replace(spec, trials=2 * _CHUNK_TRIALS))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for trials in (2 * _CHUNK_TRIALS, 20 * _CHUNK_TRIALS):
+            tracemalloc.reset_peak()
+            simulate(dataclasses.replace(spec, trials=trials))
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[20 * _CHUNK_TRIALS] <= 1.25 * peaks[2 * _CHUNK_TRIALS], peaks
 
 
 # --- pinned output -----------------------------------------------------------

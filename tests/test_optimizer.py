@@ -446,3 +446,25 @@ def test_ladder_climbs_past_a_bound_that_clamps_the_largest_amplitude():
     assert all(rc.alphas[1] == hi for rc in res.per_run)
     assert evaluate_fixed(res.per_run, problem).p_e <= problem.pp.epsilon
     assert res.q_r == pytest.approx(83_281, rel=1e-4)
+
+
+def test_ladder_tries_the_scale_that_puts_every_amplitude_at_the_bound():
+    # Two-bit desk channel under hi = 9.2819, 1.02 x the unbounded top alpha
+    # (9.0998).  The ray (0.9406, 1) reaches (hi, hi) at scale 9.868, between
+    # the x1.3 rungs 8.157 (infeasible) and 10.604 (past every amplitude's
+    # bound).  A ladder that stopped at the last rung below it reported
+    # infeasible, p_e 1.4205e-3 after 9 evaluations; its last rung is that
+    # scale, where the point meets epsilon.
+    hi = 9.2819
+    problem = OptimizationProblem(
+        pp=ProtocolParams(**_DESK_PROTOCOL, N=2),
+        ch=ChannelModel.from_sqrt_eta((0.8639, 0.8126), _DESK_DARK_COUNT, 0.99455),
+        encoding=Encoding.TWO_BIT,
+        bounds=(1.0, hi),
+    )
+    res = optimize(problem)
+    assert res.feasible
+    assert all(a <= hi for a in res.per_run[0].alphas)
+    assert evaluate_fixed(res.per_run, problem).p_e <= problem.pp.epsilon
+    assert res.p_e == pytest.approx(9.8776e-4, rel=1e-4)
+    assert res.trace["evaluations"] == 32
