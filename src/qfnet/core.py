@@ -35,6 +35,7 @@ __all__ = [
     "check_network",
     "check_schedule",
     "enumerate_relationships",
+    "integers",
     "worst_case_regions",
     "relationship_profile",
     "run_pairing",
@@ -431,14 +432,13 @@ def relationship_profile(
     return PatternFractions(d12, d34, d_single, d_pairs, d_total)
 
 
-def _integers(values: Sequence, field: str) -> tuple[int, ...]:
-    # Integral numbers only (ints, numpy integers, 2.0): 2.7 and "3" are not
-    # truncated or parsed.
+def integers(values: Sequence, field: str) -> tuple[int, ...]:
+    """values as ints; DomainError unless each is integral (an int, a numpy integer, 2.0)."""
     for v in values:
         if not isinstance(v, numbers.Integral) and not (
             isinstance(v, numbers.Real) and float(v).is_integer()
         ):
-            raise DomainError(f"{field} entries must be integers, got {v!r}")
+            raise DomainError(f"{field} must be integers, got {v!r}")
     return tuple(int(v) for v in values)
 
 
@@ -459,8 +459,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "pairing", _integers(self.pairing, "pairing"))
-        object.__setattr__(self, "thresholds", _integers(self.thresholds, "thresholds"))
+        object.__setattr__(self, "pairing", integers(self.pairing, "pairing entries"))
+        object.__setattr__(self, "thresholds", integers(self.thresholds, "thresholds entries"))
         n = len(self.alphas)
         if sorted(self.pairing) != list(range(1, n + 1)):
             raise DomainError(

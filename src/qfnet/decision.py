@@ -1,23 +1,22 @@
 """Referee decision logic.
 
 Per run the referee thresholds the observed detector counts into outcome
-bits (0 = count below threshold).  For four senders the observed detectors
-are D2 (compares ports 1,2), D3 (compares the port pairs) and D4 (ports
-3,4); an adaptive schedule swaps which senders sit at which ports between
+bits (1 = count at or above threshold; montecarlo.simulate compares its
+drawn counts itself).  For four senders the observed detectors are D2
+(compares ports 1,2), D3 (compares the port pairs) and D4 (ports 3,4); an
+adaptive schedule swaps which senders sit at which ports between
 runs, and the outcome-bit sequence indexes a lookup table that pins down the
 full relationship f_R.  Three-party instances reuse the four-port device
 with sender 1 duplicated on port 4; two senders read one detector once.
 Each sender count has one flat table from complete outcome sequence to its
 decision; one resolver serves all three, and the exported tables are read
-from them.
+from them.  The tables are plain Python: the module needs only core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .core import (
     DomainError,
@@ -34,7 +33,6 @@ __all__ = [
     "MODE_REFERENCE",
     "MODE_SUM",
     "MODE_TWO_DETECTOR",
-    "outcome_bits",
     "resolve_f_r",
     "resolve_f_ae",
     "resolve_three_party",
@@ -89,24 +87,6 @@ MODE_TWO_DETECTOR = "TwoDetector"
 
 # One run's outcome: a 0/1 string or a row of booleans, one per detector.
 Bits = str | Sequence[bool]
-
-
-def outcome_bits(counts: Sequence | np.ndarray, thresholds: Sequence | np.ndarray) -> np.ndarray:
-    """Threshold counts into bits along the last axis: True iff count >= threshold.
-
-    Leading axes (trials, runs, ...) broadcast, so per-run thresholds of shape
-    (runs, detectors) apply to counts of shape (trials, runs, detectors).
-    """
-    counts, thresholds = np.asarray(counts), np.asarray(thresholds)
-    width = counts.shape[-1] if counts.ndim else 0
-    if not width or not thresholds.ndim or thresholds.shape[-1] != width:
-        raise DomainError(
-            f"counts and thresholds need equal nonzero last axes, got shapes "
-            f"{counts.shape} and {thresholds.shape}"
-        )
-    if (counts < 0).any():
-        raise DomainError(f"counts must be >= 0, got {counts.min()}")
-    return counts >= thresholds
 
 
 # Relationship label by f_R value (canonical first-appearance labels; e.g. the

@@ -45,9 +45,10 @@ from .core import (
     RunConfig,
     check_network,
     check_schedule,
+    integers,
     observed_detectors,
 )
-from .decision import outcome_bits, resolve_schedule
+from .decision import resolve_schedule
 from .optics import region_click_matrix
 
 __all__ = ["TrialSpec", "TrialReport", "simulate", "wilson_interval"]
@@ -100,6 +101,9 @@ class TrialSpec:
         if len(self.runs) != needed:
             raise DomainError(f"{n} senders need {needed} scheduled runs, got {len(self.runs)}")
         check_schedule(self.runs, n, self.runs[0].encoding)
+        trials, seed = integers((self.trials, self.seed), "trials and seed")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
@@ -243,7 +247,7 @@ def simulate(spec: TrialSpec) -> TrialReport:
 
     n_runs, n = click.shape[0], spec.pp.N
     observed = observed_detectors(n)  # the contiguous difference ports
-    thresholds = [run.thresholds for run in spec.runs]
+    thresholds = np.array([run.thresholds for run in spec.runs])
     # bit j of a trial's outcome code is bit j of its flattened (runs, observed) bits
     place = 1 << np.arange(n_runs * len(observed), dtype=np.int64)
     cells = n_runs * n
@@ -252,7 +256,7 @@ def simulate(spec: TrialSpec) -> TrialReport:
     sums = np.zeros((2, len(hits), n_runs, n))
     for lo in range(0, spec.trials, _CHUNK_TRIALS):
         counts = _draw_counts(laws, spec.seed, lo, min(lo + _CHUNK_TRIALS, spec.trials))
-        bits = outcome_bits(counts[..., observed[0] : observed[-1] + 1], thresholds)
+        bits = counts[..., observed[0] : observed[-1] + 1] >= thresholds
         codes = bits.reshape(len(counts), -1) @ place
         hits += np.bincount(codes, minlength=len(hits))
         cell = (codes[:, None] * cells + np.arange(cells)).ravel()

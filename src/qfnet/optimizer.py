@@ -48,6 +48,7 @@ from .core import (
     RunConfig,
     check_network,
     check_schedule,
+    integers,
     run_pairing,
 )
 from .probmodel import (
@@ -85,10 +86,10 @@ class OptimizationProblem:
             raise DomainError(f"bounds must satisfy 0 < lo < hi < inf, got {self.bounds}")
         if not (0.0 < self.grid < 0.5):
             raise DomainError(f"grid must lie in (0, 0.5), got {self.grid!r}")
-        if self.runs is None:
-            object.__setattr__(self, "runs", budget)
-        elif not (1 <= self.runs <= budget):
-            raise DomainError(f"runs must lie in [1, {budget}], got {self.runs}")
+        runs = budget if self.runs is None else integers((self.runs,), "runs")[0]
+        if not 1 <= runs <= budget:
+            raise DomainError(f"runs must lie in [1, {budget}], got {runs}")
+        object.__setattr__(self, "runs", runs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def _pe_thresholds(
         choice = chosen.get(key)
         if choice is None:
             choice = chosen[key] = best_threshold(
-                CountModel.auto(equal.pulses, p_eq), CountModel.auto(diff.pulses, p_df)
+                CountModel(equal.pulses, p_eq), CountModel(diff.pulses, p_df)
             )
         ths.append(choice.threshold)
         worst = max(worst, choice.p_e)

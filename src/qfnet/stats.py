@@ -1,8 +1,9 @@
 """Count statistics over a codeword's pulses and threshold selection.
 
-A detector's codeword count is the number of pulses that produced a click:
-Binomial(pulses, p) exactly, with a Poisson approximation (lambda =
-pulses * p) for pulse counts too large for exact evaluation.
+A detector's codeword count is the number of pulses that produced a click.
+CountModel(pulses, p) reads it as Binomial(pulses, p) exactly up to
+BINOMIAL_PULSE_LIMIT pulses and as Poisson(pulses * p) beyond: its law
+follows the pulse count and is not chosen by the caller.
 
 The tails are public scipy.special ufuncs, called directly rather than
 through scipy.stats distributions, which cost ~30x more per call and
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from scipy.special import betainc, betaincc, pdtr, pdtrc
 
-from .core import DomainError
+from .core import DomainError, integers
 from .probmodel import ClickProfile
 
 __all__ = [
@@ -57,26 +58,23 @@ class CountModel:
 
     pulses  number of pulses accumulated
     p       per-pulse click probability
-    law     which distribution family evaluates the tails
     """
 
     pulses: int
     p: float
-    law: str = LAW_BINOMIAL
 
     def __post_init__(self) -> None:
+        (pulses,) = integers((self.pulses,), "pulses")
+        object.__setattr__(self, "pulses", pulses)
         if self.pulses < 1:
             raise DomainError(f"pulses must be >= 1, got {self.pulses}")
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.law not in (LAW_BINOMIAL, LAW_POISSON):
-            raise DomainError(f"unknown law {self.law!r}")
 
-    @classmethod
-    def auto(cls, pulses: int, p: float) -> "CountModel":
+    @property
+    def law(self) -> str:
         """Exact binomial up to BINOMIAL_PULSE_LIMIT pulses, Poisson beyond."""
-        law = LAW_BINOMIAL if pulses <= BINOMIAL_PULSE_LIMIT else LAW_POISSON
-        return cls(pulses, p, law)
+        return LAW_BINOMIAL if self.pulses <= BINOMIAL_PULSE_LIMIT else LAW_POISSON
 
     @property
     def mean(self) -> float:
@@ -153,8 +151,8 @@ def error_probability(
             t = int(t)
             worst = max(
                 worst,
-                tail_above(CountModel.auto(equal.pulses, p_eq), t),
-                tail_below(CountModel.auto(different.pulses, p_df), t),
+                tail_above(CountModel(equal.pulses, p_eq), t),
+                tail_below(CountModel(different.pulses, p_df), t),
             )
     return worst
 

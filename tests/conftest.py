@@ -33,8 +33,8 @@ def desk_setup():
     equal, different = four_party_asymmetric(1, alphas, ch, pp)
     thresholds = tuple(
         best_threshold(
-            CountModel.auto(equal.pulses, p_eq),
-            CountModel.auto(different.pulses, p_df),
+            CountModel(equal.pulses, p_eq),
+            CountModel(different.pulses, p_df),
         ).threshold
         for p_eq, p_df in zip(equal.per_detector, different.per_detector)
     )

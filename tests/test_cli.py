@@ -59,6 +59,16 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_decision_import_leaves_out_numpy_and_scipy():
+    # the referee tables are plain Python over core (and probmodel, which the
+    # package imports)
+    out = run_fresh(
+        "-c", "import sys, qfnet.decision; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "module", ["qfnet"] + [f"qfnet.{m.name}" for m in pkgutil.iter_modules(qfnet.__path__)]
 )

@@ -16,7 +16,6 @@ from qfnet.decision import (
     decision_table_rows,
     forward_bits,
     forward_signature,
-    outcome_bits,
     pairwise_run_count,
     relationship_by_f_r,
     resolve_f_ae,
@@ -52,35 +51,8 @@ ABCD_SIGNATURES = (("101", "111"), ("111", "101"), ("111", "111", "101"), ("111"
 # --- outcome bits ------------------------------------------------------------
 
 
-def test_outcome_bits_thresholding():
-    assert outcome_bits((3, 50, 2), (10, 10, 10)).tolist() == [False, True, False]
-    assert outcome_bits((0, 0, 0), (1, 1, 1)).tolist() == [False, False, False]
-    # a count exactly at threshold reads as a click outcome
-    assert outcome_bits((10,), (10,)).tolist() == [True]
-    with pytest.raises(DomainError):
-        outcome_bits((1, 2), (10,))
-    with pytest.raises(DomainError):
-        outcome_bits((), ())
-    with pytest.raises(DomainError):
-        outcome_bits((3, -1), (1, 1))
-    # (trials, runs, detectors) counts against per-run thresholds
-    counts = np.array(
-        [
-            [[3, 50, 2], [9, 10, 11]],
-            [[10, 0, 7], [0, 0, 40]],
-        ]
-    )
-    thresholds = np.array([[10, 10, 10], [9, 11, 40]])
-    bits = outcome_bits(counts, thresholds)
-    assert bits.dtype == bool and bits.shape == (2, 2, 3)
-    assert bits.astype(int).tolist() == [
-        [[0, 1, 0], [1, 0, 0]],
-        [[1, 0, 0], [0, 0, 1]],
-    ]
-    # a bool row resolves like its 0/1 string
-    assert resolve_f_r(outcome_bits([[0, 50, 0]], [10, 10, 10])) == resolve_f_r(["010"])
-    with pytest.raises(DomainError):
-        outcome_bits(counts, thresholds[:, :2])
+def test_bool_row_resolves_like_its_bit_string():
+    assert resolve_f_r([[False, True, False]]) == resolve_f_r(["010"])
 
 
 # --- forward model -----------------------------------------------------------

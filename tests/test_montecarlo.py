@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from qfnet.core import (
     ChannelModel,
@@ -40,7 +41,6 @@ from qfnet.montecarlo import (
 )
 from qfnet.decision import resolve_schedule
 from qfnet.optics import region_click_matrix
-from qfnet.stats import CountModel, tail_above, tail_below
 from conftest import DESK_SEED
 
 
@@ -166,6 +166,17 @@ def test_trial_spec_validation(desk_setup):
     two_bit = tuple(dataclasses.replace(run, encoding=Encoding.TWO_BIT) for run in runs)
     with pytest.raises(DomainError, match="two-bit"):
         TrialSpec(rel=rel, pp=pp, ch=ch, runs=two_bit, trials=10, seed=1)
+
+
+def test_trial_spec_takes_integral_counts(desk_setup):
+    # seed 5.0 is seed 5 and draws its campaign; 5.5 is no seed at all
+    spec = desk_spec("AABC", desk_setup, trials=50, seed=5)
+    as_floats = dataclasses.replace(spec, trials=50.0, seed=5.0)
+    assert (type(as_floats.trials), type(as_floats.seed)) == (int, int)
+    assert simulate(as_floats).to_json() == simulate(spec).to_json()
+    for bad in ({"seed": 5.5}, {"trials": 50.5}, {"seed": "5"}):
+        with pytest.raises(DomainError, match="must be integers"):
+            dataclasses.replace(spec, **bad)
 
 
 # --- campaigns ---------------------------------------------------------------
@@ -493,9 +504,9 @@ def test_count_law_omits_under_2_pow_minus_60_per_side(desk_setup):
         hi = lo + len(pmf) - 1
         assert 0 <= lo <= hi <= n and pmf.sum() == pytest.approx(1.0, abs=1e-15)
         if 0.0 < p < 1.0:
-            model = CountModel(n, p)
-            assert tail_below(model, lo) <= 2.0**-60, (n, p, lo)
-            assert tail_above(model, hi) <= 2.0**-60, (n, p, hi)
+            # the exact binomial, also past the tails' switch to Poisson
+            assert sps.binom.cdf(lo - 1, n, p) <= 2.0**-60, (n, p, lo)
+            assert sps.binom.sf(hi, n, p) <= 2.0**-60, (n, p, hi)
 
 
 @pytest.mark.parametrize("label, channel", [("AABC", "desk"), ("ABBA", "lossy")])

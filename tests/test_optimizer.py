@@ -45,6 +45,14 @@ def test_problem_defaults_to_full_run_budget():
     assert small_asym2(runs=1).runs == 1
 
 
+def test_problem_takes_an_integral_run_count():
+    problem = small_asym2(runs=1.0)
+    assert type(problem.runs) is int and problem == small_asym2(runs=1)
+    assert optimize(problem) == optimize(small_asym2(runs=1))
+    with pytest.raises(DomainError, match="must be integers"):
+        small_asym2(runs=1.5)
+
+
 def test_problem_validation():
     pp4 = ProtocolParams(n=1000, c=2.0, delta=0.22, epsilon=1e-3, N=4)
     ch4 = ChannelModel(eta=(0.5,) * 4)
@@ -266,7 +274,7 @@ def _worst_best_error(equal, different):
     # Worst detector error at each detector's best threshold, and those thresholds.
     choices = [
         best_threshold(
-            CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df)
+            CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
         )
         for p_eq, p_df in zip(equal.per_detector, different.per_detector)
     ]

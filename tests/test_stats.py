@@ -68,7 +68,7 @@ def test_binomial_tails_match_fraction_oracle():
         (250, Fraction(1, 100), 10),
     ]
     for n, p, t in cases:
-        model = CountModel(n, float(p), LAW_BINOMIAL)
+        model = CountModel(n, float(p))
         assert tail_above(model, t) == pytest.approx(
             binom_above_exact(n, t, p), rel=1e-12, abs=1e-300
         )
@@ -84,7 +84,7 @@ def test_binomial_tails_match_fraction_oracle():
         (894, Fraction(3, 8), 249),
         (621, Fraction(3, 4), 396),
     ]:
-        model = CountModel(n, float(p), LAW_BINOMIAL)
+        model = CountModel(n, float(p))
         assert tail_below(model, t) == pytest.approx(
             binom_below_exact(n, t, p), rel=1e-15, abs=1e-300
         )
@@ -95,7 +95,7 @@ def test_binomial_tails_match_fraction_oracle():
 
 def test_binomial_below_is_strict():
     # P(C < 4) over 10 pulses at p = 0.3 counts outcomes 0..3 only
-    model = CountModel(10, 0.3, LAW_BINOMIAL)
+    model = CountModel(10, 0.3)
     want = binom_below_exact(10, 4, Fraction(3, 10))
     assert tail_below(model, 4) == pytest.approx(want, rel=1e-12)
     assert tail_below(model, 0) == 0.0
@@ -104,21 +104,21 @@ def test_binomial_below_is_strict():
 
 def test_poisson_tails_match_series():
     lam = 20.0
-    model = CountModel(10**9, lam / 10**9, LAW_POISSON)
+    model = CountModel(10**9, lam / 10**9)
     # far tail: a mean-20 count barely ever reaches 100
     assert tail_above(model, 100) < 1e-30
     for t in (5, 15, 20, 40):
         assert tail_above(model, t) == pytest.approx(poisson_above(lam, t), rel=1e-9)
         assert tail_below(model, t) == pytest.approx(poisson_below(lam, t), rel=1e-9)
-    bright = CountModel(10**9, 238.0 / 10**9, LAW_POISSON)
+    bright = CountModel(10**9, 238.0 / 10**9)
     assert tail_below(bright, 100) < 1e-10
     assert tail_below(bright, 100) == pytest.approx(poisson_below(238.0, 100), rel=1e-6)
 
 
 def test_tail_identity_sums_to_one():
     for model in (
-        CountModel(500, 0.13, LAW_BINOMIAL),
-        CountModel(10**8, 3e-7, LAW_POISSON),
+        CountModel(500, 0.13),
+        CountModel(10**8, 3e-7),
     ):
         for t in (0, 10, 30, 60):
             pmf = 1.0 - tail_above(model, t) - tail_below(model, t)
@@ -132,31 +132,32 @@ def test_tail_identity_sums_to_one():
 def test_poisson_approximates_binomial_at_scale():
     # the law switchover must be statistically invisible
     pulses, p = 10**7, 1e-5  # mean 100
-    exact = CountModel(pulses, p, LAW_BINOMIAL)
-    approx = CountModel(pulses, p, LAW_POISSON)
+    approx = CountModel(pulses, p)
+    assert approx.law == LAW_POISSON
     for t in (60, 80, 100, 120, 140):
-        assert tail_above(approx, t) == pytest.approx(tail_above(exact, t), rel=1e-3)
-        assert tail_below(approx, t) == pytest.approx(tail_below(exact, t), rel=1e-3)
+        exact_above, exact_below = sps.binom.sf(t, pulses, p), sps.binom.cdf(t - 1, pulses, p)
+        assert tail_above(approx, t) == pytest.approx(exact_above, rel=1e-3)
+        assert tail_below(approx, t) == pytest.approx(exact_below, rel=1e-3)
 
 
 def test_tail_numeric_edges():
     # p = 1: every pulse clicks, so C = pulses surely
-    sure = CountModel(10, 1.0, LAW_BINOMIAL)
+    sure = CountModel(10, 1.0)
     assert tail_above(sure, 10) == 0.0
     assert tail_above(sure, 9) == 1.0
     assert tail_below(sure, 10) == 0.0
     # p = 0: C = 0 surely
-    silent = CountModel(10, 0.0, LAW_BINOMIAL)
+    silent = CountModel(10, 0.0)
     assert [tail_above(silent, t) for t in (0, 5, 10)] == [0.0, 0.0, 0.0]
     assert [tail_below(silent, t) for t in (0, 1, 10)] == [0.0, 1.0, 1.0]
     # Poisson mean 0
-    dark = CountModel(10**9, 0.0, LAW_POISSON)
+    dark = CountModel(10**9, 0.0)
     assert [tail_above(dark, t) for t in (0, 7)] == [0.0, 0.0]
     assert [tail_below(dark, t) for t in (0, 1, 7)] == [0.0, 1.0, 1.0]
     # both sides of the binomial-to-Poisson switch agree in the bulk
     mean = 20.0
-    at_limit = CountModel.auto(BINOMIAL_PULSE_LIMIT, mean / BINOMIAL_PULSE_LIMIT)
-    past_limit = CountModel.auto(BINOMIAL_PULSE_LIMIT + 1, mean / (BINOMIAL_PULSE_LIMIT + 1))
+    at_limit = CountModel(BINOMIAL_PULSE_LIMIT, mean / BINOMIAL_PULSE_LIMIT)
+    past_limit = CountModel(BINOMIAL_PULSE_LIMIT + 1, mean / (BINOMIAL_PULSE_LIMIT + 1))
     assert (at_limit.law, past_limit.law) == (LAW_BINOMIAL, LAW_POISSON)
     for t in (0, 10, 20, 30, BINOMIAL_PULSE_LIMIT):
         assert tail_above(past_limit, t) == pytest.approx(tail_above(at_limit, t), rel=1e-3)
@@ -178,7 +179,7 @@ def test_tails_match_scipy_stats():
     # precision, hence the absolute floor).
     for pulses in (1, 7, 250, 5_000, 100_000, BINOMIAL_PULSE_LIMIT):
         for p in (0.0, 1e-6, 0.013, 0.3, 0.5, 0.97, 1.0):
-            model = CountModel(pulses, p, LAW_BINOMIAL)
+            model = CountModel(pulses, p)
             sd = math.sqrt(pulses * p * (1.0 - p))
             for t in _grid_points(pulses, model.mean, sd):
                 assert tail_above(model, t) == sps.binom.sf(t, pulses, p)
@@ -187,7 +188,7 @@ def test_tails_match_scipy_stats():
                         sps.binom.cdf(t - 1, pulses, p), rel=1e-10, abs=1e-300
                     )
     for mean in (0.0, 1e-3, 5.0, 238.0, 1e4, 1e7, 1e12):
-        model = CountModel(10**13, mean / 10**13, LAW_POISSON)
+        model = CountModel(10**13, mean / 10**13)
         for t in _grid_points(10**13, model.mean, math.sqrt(model.mean)):
             assert tail_above(model, t) == sps.poisson.sf(t, model.mean)
             if t > 0:
@@ -195,9 +196,24 @@ def test_tails_match_scipy_stats():
 
 
 def test_count_model_auto_switches_law():
-    assert CountModel.auto(BINOMIAL_PULSE_LIMIT, 0.1).law == LAW_BINOMIAL
-    assert CountModel.auto(BINOMIAL_PULSE_LIMIT + 1, 0.1).law == LAW_POISSON
-    assert CountModel.auto(100, 0.25).mean == pytest.approx(25.0)
+    # the law follows the pulse count; no caller picks or overrides it
+    assert CountModel(BINOMIAL_PULSE_LIMIT, 0.1).law == LAW_BINOMIAL
+    assert CountModel(BINOMIAL_PULSE_LIMIT + 1, 0.1).law == LAW_POISSON
+    assert CountModel(100, 0.25).mean == pytest.approx(25.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CountModel(100, 0.25).law = LAW_POISSON
+    with pytest.raises(TypeError):
+        CountModel(100, 0.25, LAW_POISSON)
+
+
+def test_count_model_takes_integral_pulses():
+    # 10.0 pulses is 10; 10.5 is no binomial at all
+    model = CountModel(10.0, 0.3)
+    assert type(model.pulses) is int and model == CountModel(10, 0.3)
+    assert tail_above(model, 3) == tail_above(CountModel(10, 0.3), 3)
+    for pulses in (10.5, "10", None):
+        with pytest.raises(DomainError, match="pulses must be integers"):
+            CountModel(pulses, 0.3)
 
 
 def test_count_model_validation():
@@ -205,10 +221,6 @@ def test_count_model_validation():
         CountModel(0, 0.5)
     with pytest.raises(DomainError):
         CountModel(10, 1.5)
-    with pytest.raises(DomainError):
-        CountModel(10, 0.5, "weibull")
-    with pytest.raises(DomainError):
-        CountModel(10, 0.5, "gaussian-approx")
     with pytest.raises(DomainError):
         tail_above(CountModel(10, 0.5), 11)
     with pytest.raises(DomainError):
@@ -234,8 +246,8 @@ def scan_best(equal, different, hi):
 
 def test_best_threshold_bright_vs_dim_poisson():
     pulses = 10**8
-    equal = CountModel(pulses, 20.0 / pulses, LAW_POISSON)
-    different = CountModel(pulses, 238.0 / pulses, LAW_POISSON)
+    equal = CountModel(pulses, 20.0 / pulses)
+    different = CountModel(pulses, 238.0 / pulses)
     choice = best_threshold(equal, different)
     want_t, want_err = scan_best(equal, different, 400)
     assert choice.threshold == want_t
@@ -352,7 +364,7 @@ def count_model_pairs(draw):
         st.floats(0.0, 1.0),
         st.floats(0.0, 2000.0).map(lambda mean: min(1.0, mean / pulses)),
     )
-    return CountModel.auto(pulses, draw(probability)), CountModel.auto(pulses, draw(probability))
+    return CountModel(pulses, draw(probability)), CountModel(pulses, draw(probability))
 
 
 @settings(deadline=None, max_examples=300)
@@ -397,7 +409,7 @@ TAIL_BUDGET_POINTS = [
 
 
 def models_at(pulses, means):
-    return tuple(CountModel.auto(pulses, mean / pulses) for mean in means)
+    return tuple(CountModel(pulses, mean / pulses) for mean in means)
 
 
 @pytest.mark.parametrize(
@@ -513,7 +525,7 @@ def test_published_thresholds_under_code_rate_convention():
                 zip(equal.per_detector, different.per_detector, rc.thresholds), start=2
             ):
                 choice = best_threshold(
-                    CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df)
+                    CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
                 )
                 if abs(choice.threshold - published) <= 1:
                     matched += 1
@@ -544,7 +556,7 @@ def test_t_asym4_detector_3_errs_at_the_published_amplitudes():
         errors = []
         for p_eq, p_df in zip(equal.per_detector, different.per_detector):
             choice = best_threshold(
-                CountModel.auto(equal.pulses, p_eq), CountModel.auto(different.pulses, p_df)
+                CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
             )
             errors.append(float(f"{choice.p_e:.3g}"))  # three significant figures
         assert errors[0] <= 1.01e-5 and errors[2] <= 1.01e-5
