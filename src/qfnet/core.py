@@ -68,7 +68,10 @@ class ProtocolParams:
     N: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        n, N = integers((self.n, self.N), "n and N")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        if self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"c must be positive and finite, got {self.c!r}")
@@ -76,7 +79,7 @@ class ProtocolParams:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not isinstance(self.N, int) or self.N < 2:
+        if self.N < 2:
             raise DomainError(f"N must be an integer >= 2, got {self.N!r}")
         if self.m < 1:
             raise DomainError(f"round(c*n) = {self.m} gives an empty codeword")

@@ -14,12 +14,11 @@ dominate the import time:
               P(C < t) = betaincc(t, pulses - t + 1, p)
     Poisson   P(C > t) = pdtrc(t, mean),  P(C < t) = pdtr(t - 1, mean)
 
-Error conventions: under the Equal hypothesis an error is a count *strictly
-above* the reported tail point (tail_above), under Different a count
-*strictly below* (tail_below).  The decision rule itself maps count >=
-threshold to outcome 1, so best_threshold minimizes the decision-consistent
-worst error max(P_equal(C >= t), P_different(C < t)) — the boundary atom
-C = t errs on the Equal side.
+One error event: the referee reads count >= threshold as outcome 1, so at
+threshold t a detector errs with max(P_equal(C >= t), P_different(C < t)) —
+the boundary atom C = t errs on the Equal side.  best_threshold minimizes
+that event and error_probability audits it; tail_above (strictly above) and
+tail_below (strictly below) are the primitives both read.
 """
 
 from __future__ import annotations
@@ -111,22 +110,22 @@ def tail_below(model: CountModel, t: int) -> float:
 
 def _decision_errors(equal: CountModel, different: CountModel, t: int) -> tuple[float, float]:
     # Errors of the rule "count >= t means Different": P_equal(C >= t) and
-    # P_different(C < t).
-    e_eq = 1.0 if t <= 0 else tail_above(equal, t - 1)
-    e_df = 0.0 if t <= 0 else tail_below(different, t)
-    return e_eq, e_df
+    # P_different(C < t).  tail_below checks t first.
+    e_df = tail_below(different, t)
+    return (1.0 if t == 0 else tail_above(equal, t - 1)), e_df
 
 
 def error_probability(
     pairs: Sequence[tuple[ClickProfile, ClickProfile]],
     thresholds: Sequence[Sequence[int]],
 ) -> float:
-    """Protocol error probability over runs: strict-tail convention.
+    """Protocol error probability over runs under the referee's rule.
 
     ``pairs`` holds one (Equal, Different) profile pair per run, with one
     probability per observed detector; ``thresholds`` the matching per-run
-    threshold tuples.  Returns the max over all runs and detectors of
-    P_equal(C > t) and P_different(C < t).
+    integral threshold tuples.  Returns the max over all runs and detectors
+    of P_equal(C >= t) and P_different(C < t), the event best_threshold
+    minimizes.
     """
     if len(pairs) != len(thresholds) or not pairs:
         raise DomainError(
@@ -147,13 +146,10 @@ def error_probability(
                 f"profiles have {len(equal.per_detector)} detectors, got "
                 f"{len(run_ths)} thresholds"
             )
-        for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, run_ths):
-            t = int(t)
-            worst = max(
-                worst,
-                tail_above(CountModel(equal.pulses, p_eq), t),
-                tail_below(CountModel(different.pulses, p_df), t),
-            )
+        ths = integers(run_ths, "thresholds")
+        for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, ths):
+            laws = CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
+            worst = max(worst, *_decision_errors(*laws, t))
     return worst
 
 

@@ -405,8 +405,9 @@ def test_reproduce_benchmark_audit(tmp_path):
     assert float(by_q["q_r"][4]) < 0.005
     assert float(by_q["c_o_ae"][4]) < 0.01
     assert float(by_q["c_l_ae"][4]) < 0.01
-    # published rows audit as infeasible under the strict-tail model (a
-    # documented finding); the optimizer's own point must be feasible
+    # published rows audit as infeasible under the referee's rule at the
+    # bundled c (a documented finding); the optimizer's own point must be
+    # feasible
     assert by_q["p_e_published_params"][5] == "False"
     assert by_q["p_e_optimized"][5] == "True"
     assert float(by_q["q_r"][3]) <= 1.05 * float(by_q["q_r"][1])

@@ -262,6 +262,14 @@ def test_protocol_params_codeword_length():
     assert ProtocolParams(n=int(1e13), c=0.2, delta=0.22, epsilon=0.01, N=4).m == int(2e12)
 
 
+def test_protocol_params_takes_integral_n_and_N():
+    want = ProtocolParams(n=500_000, c=0.2, delta=0.22, epsilon=0.01, N=4)
+    for n in (500_000.0, np.int64(500_000)):
+        pp = ProtocolParams(n=n, c=0.2, delta=0.22, epsilon=0.01, N=np.int64(4))
+        assert type(pp.n) is int and type(pp.N) is int
+        assert pp.m == want.m and pp == want
+
+
 def test_protocol_params_warns_on_compressing_code():
     with pytest.warns(UserWarning, match="expansion factor") as records:
         ProtocolParams(n=100, c=0.2, delta=0.22, epsilon=0.01, N=4)
@@ -280,6 +288,8 @@ def test_protocol_params_validation():
         dict(epsilon=1.0),
         dict(N=1),
         dict(n=1, c=0.2),  # round(c * n) = 0
+        dict(n=500_000.5),
+        dict(N=4.5),
     ):
         kw = dict(n=100, c=2.0, delta=0.22, epsilon=0.01, N=4)
         kw.update(bad)
