@@ -436,10 +436,11 @@ def relationship_profile(
 
 
 def integers(values: Sequence, field: str) -> tuple[int, ...]:
-    """values as ints; DomainError unless each is integral (an int, a numpy integer, 2.0)."""
+    """values as ints; DomainError unless each is integral (int, numpy integer, 2.0) and no bool."""
     for v in values:
-        if not isinstance(v, numbers.Integral) and not (
-            isinstance(v, numbers.Real) and float(v).is_integer()
+        if isinstance(v, bool) or not (
+            isinstance(v, numbers.Integral)
+            or (isinstance(v, numbers.Real) and float(v).is_integer())
         ):
             raise DomainError(f"{field} must be integers, got {v!r}")
     return tuple(int(v) for v in values)

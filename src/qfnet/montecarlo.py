@@ -11,8 +11,8 @@ uniform per count.  optimizer.evaluate_fixed reads that count as one
 Binomial(pulses, p), p the region-weighted click probability: the mean is
 the same, the variance larger by sum_r pulses_r * (p_r - p)**2.  Criterion 7
 compares means, which agree; test_simulate_count_variances_track_the_law
-checks the region sum.  In the Poisson regime (every bundled row) the two
-laws coincide.
+checks the region sum.  That excess is at most max_r p_r / (1 - p) of the
+variance, so at the bundled rows' click probabilities the two coincide.
 
 A campaign runs _CHUNK_TRIALS trials at a time.  Each chunk is drawn,
 thresholded and coded (one integer per trial's outcome bits, at most 2**9)

@@ -290,6 +290,7 @@ def test_protocol_params_validation():
         dict(n=1, c=0.2),  # round(c * n) = 0
         dict(n=500_000.5),
         dict(N=4.5),
+        dict(n=True),
     ):
         kw = dict(n=100, c=2.0, delta=0.22, epsilon=0.01, N=4)
         kw.update(bad)
@@ -418,6 +419,7 @@ def test_run_config_validation():
         ((1, 2), (math.nan,)),
         ((1, 2), (math.inf,)),
         ((1, 2), (None,)),
+        ((1, 2), (True,)),
     ],
 )
 def test_run_config_rejects_non_integral_fields(pairing, thresholds):

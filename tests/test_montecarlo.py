@@ -174,7 +174,7 @@ def test_trial_spec_takes_integral_counts(desk_setup):
     as_floats = dataclasses.replace(spec, trials=50.0, seed=5.0)
     assert (type(as_floats.trials), type(as_floats.seed)) == (int, int)
     assert simulate(as_floats).to_json() == simulate(spec).to_json()
-    for bad in ({"seed": 5.5}, {"trials": 50.5}, {"seed": "5"}):
+    for bad in ({"seed": 5.5}, {"trials": 50.5}, {"seed": "5"}, {"seed": True}, {"trials": True}):
         with pytest.raises(DomainError, match="must be integers"):
             dataclasses.replace(spec, **bad)
 

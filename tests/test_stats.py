@@ -1,11 +1,11 @@
 """Count-tail probabilities and threshold selection vs exact-arithmetic oracles.
 
 The binomial oracle sums probability mass with Fraction arithmetic (no
-floating point at all); the Poisson oracle sums the series with fsum.  The
-library evaluates the tails with scipy.special's betainc/betaincc
-(binomial) and pdtrc/pdtr (Poisson) and must agree to near machine
+floating point at all) and, at 10^9 pulses, sums the pmf's ratio recurrence
+with fsum.  The library evaluates the tails with scipy.special's
+betainc/betaincc at every pulse count and must agree to near machine
 precision.  A parity check pins those ufuncs to the scipy.stats
-distributions they replace.
+distribution they replace.
 """
 
 import dataclasses
@@ -21,11 +21,10 @@ from scipy import stats as sps
 from qfnet import stats
 from qfnet.benchmarks import BENCHMARKS
 from qfnet.core import DomainError
+from qfnet.montecarlo import _binomial_pmf
+from qfnet.optimizer import OptimizationProblem, _run_profiles, optimize
 from qfnet.probmodel import ClickProfile, four_party_asymmetric, two_party_asymmetric
 from qfnet.stats import (
-    BINOMIAL_PULSE_LIMIT,
-    LAW_BINOMIAL,
-    LAW_POISSON,
     CountModel,
     best_threshold,
     error_probability,
@@ -46,15 +45,13 @@ def binom_below_exact(n, t, p_frac):
     return float(sum(binom_pmf_exact(n, k, p_frac) for k in range(0, t)))
 
 
-def poisson_above(lam, t):
-    # P(C > t) by direct series over the complement
-    terms = [math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in range(t + 1)]
-    return 1.0 - math.fsum(terms)
-
-
-def poisson_below(lam, t):
-    terms = [math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in range(t)]
-    return math.fsum(terms)
+def binom_pmf_series(n, p, kmax):
+    # pmf at 0 .. kmax by the ratio recurrence up from pmf(0) = (1 - p)**n;
+    # each step rounds once, so the relative error grows by ~1e-16 per count
+    pmf = [math.exp(n * math.log1p(-p))]
+    for k in range(kmax):
+        pmf.append(pmf[-1] * ((n - k) / (k + 1)) * (p / (1.0 - p)))
+    return pmf
 
 
 # --- tails vs oracles --------------------------------------------------------
@@ -103,17 +100,19 @@ def test_binomial_below_is_strict():
     assert tail_above(model, 10) == 0.0
 
 
-def test_poisson_tails_match_series():
-    lam = 20.0
-    model = CountModel(10**9, lam / 10**9)
+def test_binomial_tails_match_series_at_1e9_pulses():
+    model = CountModel(10**9, 20.0 / 10**9)
+    # mean 20; the series runs to 400, where the pmf is below 1e-300
+    pmf = binom_pmf_series(10**9, model.p, 400)
     # far tail: a mean-20 count barely ever reaches 100
     assert tail_above(model, 100) < 1e-30
-    for t in (5, 15, 20, 40):
-        assert tail_above(model, t) == pytest.approx(poisson_above(lam, t), rel=1e-9)
-        assert tail_below(model, t) == pytest.approx(poisson_below(lam, t), rel=1e-9)
+    for t in (5, 15, 20, 40, 100):
+        assert tail_above(model, t) == pytest.approx(math.fsum(pmf[t + 1 :]), rel=1e-10, abs=0)
+        assert tail_below(model, t) == pytest.approx(math.fsum(pmf[:t]), rel=1e-10, abs=0)
     bright = CountModel(10**9, 238.0 / 10**9)
     assert tail_below(bright, 100) < 1e-10
-    assert tail_below(bright, 100) == pytest.approx(poisson_below(238.0, 100), rel=1e-6)
+    want = math.fsum(binom_pmf_series(10**9, bright.p, 99))
+    assert tail_below(bright, 100) == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_tail_identity_sums_to_one():
@@ -125,20 +124,9 @@ def test_tail_identity_sums_to_one():
             pmf = 1.0 - tail_above(model, t) - tail_below(model, t)
             # 1 - (1 - tiny) cancels, so allow float-level slack below zero
             assert -1e-12 <= pmf <= 1.0
-            if model.law == LAW_BINOMIAL:
+            if model.pulses == 500:
                 want = binom_pmf_exact(500, t, Fraction(13, 100))
                 assert pmf == pytest.approx(float(want), rel=1e-9, abs=1e-12)
-
-
-def test_poisson_approximates_binomial_at_scale():
-    # the law switchover must be statistically invisible
-    pulses, p = 10**7, 1e-5  # mean 100
-    approx = CountModel(pulses, p)
-    assert approx.law == LAW_POISSON
-    for t in (60, 80, 100, 120, 140):
-        exact_above, exact_below = sps.binom.sf(t, pulses, p), sps.binom.cdf(t - 1, pulses, p)
-        assert tail_above(approx, t) == pytest.approx(exact_above, rel=1e-3)
-        assert tail_below(approx, t) == pytest.approx(exact_below, rel=1e-3)
 
 
 def test_tail_numeric_edges():
@@ -151,18 +139,17 @@ def test_tail_numeric_edges():
     silent = CountModel(10, 0.0)
     assert [tail_above(silent, t) for t in (0, 5, 10)] == [0.0, 0.0, 0.0]
     assert [tail_below(silent, t) for t in (0, 1, 10)] == [0.0, 1.0, 1.0]
-    # Poisson mean 0
+    # mean 0 at 10^9 pulses
     dark = CountModel(10**9, 0.0)
     assert [tail_above(dark, t) for t in (0, 7)] == [0.0, 0.0]
     assert [tail_below(dark, t) for t in (0, 1, 7)] == [0.0, 1.0, 1.0]
-    # both sides of the binomial-to-Poisson switch agree in the bulk
+    # one more pulse at the same mean barely moves the bulk
     mean = 20.0
-    at_limit = CountModel(BINOMIAL_PULSE_LIMIT, mean / BINOMIAL_PULSE_LIMIT)
-    past_limit = CountModel(BINOMIAL_PULSE_LIMIT + 1, mean / (BINOMIAL_PULSE_LIMIT + 1))
-    assert (at_limit.law, past_limit.law) == (LAW_BINOMIAL, LAW_POISSON)
-    for t in (0, 10, 20, 30, BINOMIAL_PULSE_LIMIT):
-        assert tail_above(past_limit, t) == pytest.approx(tail_above(at_limit, t), rel=1e-3)
-        assert tail_below(past_limit, t) == pytest.approx(tail_below(at_limit, t), rel=1e-3)
+    at_1e6 = CountModel(10**6, mean / 10**6)
+    past_1e6 = CountModel(10**6 + 1, mean / (10**6 + 1))
+    for t in (0, 10, 20, 30, 10**6):
+        assert tail_above(past_1e6, t) == pytest.approx(tail_above(at_1e6, t), rel=1e-3)
+        assert tail_below(past_1e6, t) == pytest.approx(tail_below(at_1e6, t), rel=1e-3)
 
 
 def _grid_points(pulses, mean, sd):
@@ -172,39 +159,73 @@ def _grid_points(pulses, mean, sd):
     return sorted(t for t in points if 0 <= t <= pulses)
 
 
+def assert_tails_match_binom(model, cdf_rel=1e-10):
+    # From the mean up, P(C > t) is the very ufunc binom.sf calls, so the two
+    # agree bit for bit; below it, P(C > t) is the complement of betaincc,
+    # where betainc (and so binom.sf) errs by up to 2.6e-11 relative at 10^6
+    # pulses.  P(C < t) uses betaincc where binom.cdf uses a different Boost
+    # entry point.  Those two pairs agree to 1e-10 relative (subnormal
+    # results carry no relative precision, hence the absolute floor).
+    pulses, p = model.pulses, model.p
+    for t in _grid_points(pulses, model.mean, math.sqrt(pulses * p * (1.0 - p))):
+        if t + 1 > model.mean:
+            assert tail_above(model, t) == sps.binom.sf(t, pulses, p)
+        else:
+            assert tail_above(model, t) == pytest.approx(sps.binom.sf(t, pulses, p), rel=1e-10)
+        if t > 0:
+            assert tail_below(model, t) == pytest.approx(
+                sps.binom.cdf(t - 1, pulses, p), rel=cdf_rel, abs=1e-300
+            )
+
+
 def test_tails_match_scipy_stats():
-    # Binomial P(C > t) and the Poisson tails are the very ufuncs
-    # scipy.stats calls, so they agree bit for bit.  Binomial P(C < t) uses
-    # betaincc where binom.cdf uses a different Boost entry point; the two
-    # agree to 1e-10 relative (subnormal results carry no relative
-    # precision, hence the absolute floor).
-    for pulses in (1, 7, 250, 5_000, 100_000, BINOMIAL_PULSE_LIMIT):
+    for pulses in (1, 7, 250, 5_000, 100_000, 10**6):
         for p in (0.0, 1e-6, 0.013, 0.3, 0.5, 0.97, 1.0):
-            model = CountModel(pulses, p)
-            sd = math.sqrt(pulses * p * (1.0 - p))
-            for t in _grid_points(pulses, model.mean, sd):
-                assert tail_above(model, t) == sps.binom.sf(t, pulses, p)
-                if t > 0:
-                    assert tail_below(model, t) == pytest.approx(
-                        sps.binom.cdf(t - 1, pulses, p), rel=1e-10, abs=1e-300
-                    )
+            assert_tails_match_binom(CountModel(pulses, p))
+    # The bundled rows' scale.  At mean 1e12 binom.cdf itself errs by up to
+    # 1.8e-9 relative, 8 sd below the mean: a sum of the pmf's ratio
+    # recurrence in 64-bit-mantissa arithmetic puts betaincc within 6e-13.
     for mean in (0.0, 1e-3, 5.0, 238.0, 1e4, 1e7, 1e12):
         model = CountModel(10**13, mean / 10**13)
-        for t in _grid_points(10**13, model.mean, math.sqrt(model.mean)):
-            assert tail_above(model, t) == sps.poisson.sf(t, model.mean)
-            if t > 0:
-                assert tail_below(model, t) == sps.poisson.cdf(t - 1, model.mean)
+        assert_tails_match_binom(model, cdf_rel=2e-9 if mean == 1e12 else 1e-10)
 
 
-def test_count_model_auto_switches_law():
-    # the law follows the pulse count; no caller picks or overrides it
-    assert CountModel(BINOMIAL_PULSE_LIMIT, 0.1).law == LAW_BINOMIAL
-    assert CountModel(BINOMIAL_PULSE_LIMIT + 1, 0.1).law == LAW_POISSON
+def test_tails_at_optimized_bundled_thresholds_match_recurrence_law():
+    """The tails optimize() reads at its thresholds on the bundled instances
+    (3e11 to 2e13 pulses) against montecarlo's ratio-recurrence pmf, an
+    independent route to the same binomial.
+
+    That law keeps mean +- (10 sd + 10), so it truncates too much of the mass
+    to judge a tail below 1e-7; 30 of the 42 tails lie above.
+    """
+    checked = 0
+    for bench in BENCHMARKS.values():
+        problem = OptimizationProblem(
+            pp=bench.pp, ch=bench.ch, encoding=bench.encoding, runs=len(bench.runs)
+        )
+        for run_index, rc in enumerate(optimize(problem).per_run, start=1):
+            equal, different = _run_profiles(problem, run_index, rc.alphas)
+            for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, rc.thresholds):
+                eq, df = CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
+                lo_eq, pmf_eq = _binomial_pmf(eq.pulses, eq.p)
+                lo_df, pmf_df = _binomial_pmf(df.pulses, df.p)
+                for got, mass in (
+                    (tail_above(eq, t - 1), pmf_eq[max(t - lo_eq, 0) :]),
+                    (tail_below(df, t), pmf_df[: max(t - lo_df, 0)]),
+                ):
+                    if got >= 1e-7:
+                        assert got == pytest.approx(math.fsum(mass.tolist()), rel=1e-12, abs=0)
+                        checked += 1
+    assert checked == 30
+
+
+def test_count_model_is_a_frozen_pulses_p_pair():
+    # one law at every pulse count; no caller picks or overrides it
     assert CountModel(100, 0.25).mean == pytest.approx(25.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        CountModel(100, 0.25).law = LAW_POISSON
+        CountModel(100, 0.25).p = 0.5
     with pytest.raises(TypeError):
-        CountModel(100, 0.25, LAW_POISSON)
+        CountModel(100, 0.25, "poisson")
 
 
 def test_count_model_takes_integral_pulses():
@@ -212,7 +233,7 @@ def test_count_model_takes_integral_pulses():
     model = CountModel(10.0, 0.3)
     assert type(model.pulses) is int and model == CountModel(10, 0.3)
     assert tail_above(model, 3) == tail_above(CountModel(10, 0.3), 3)
-    for pulses in (10.5, "10", None):
+    for pulses in (10.5, "10", None, True):
         with pytest.raises(DomainError, match="pulses must be integers"):
             CountModel(pulses, 0.3)
 
@@ -351,15 +372,15 @@ def assert_same_as_full_range(equal, different):
 
 @st.composite
 def count_model_pairs(draw):
-    """Binomial up to the law switch or Poisson beyond it, either mean larger.
+    """Up to 10^6 pulses or beyond, up to 10^14, either mean larger.
 
     Click probabilities mix the exact ends 0 and 1, the whole unit interval,
     and means of up to 2000 counts, where the bundled and desk instances sit.
     """
     if draw(st.booleans()):
-        pulses = draw(st.integers(1, BINOMIAL_PULSE_LIMIT))
+        pulses = draw(st.integers(1, 10**6))
     else:
-        pulses = draw(st.integers(BINOMIAL_PULSE_LIMIT + 1, 10**14))
+        pulses = draw(st.integers(10**6 + 1, 10**14))
     probability = st.one_of(
         st.sampled_from([0.0, 1.0]),
         st.floats(0.0, 1.0),
@@ -383,7 +404,7 @@ def test_best_threshold_single_pulse_equals_full_range(p_eq, p_df):
 
 
 def use_point_masses(monkeypatch, equal, different, masses):
-    # Binomial and Poisson counts cross between their means, so a search
+    # Binomial counts cross between their means, so a search
     # that must run out to an end of the range needs tails that do not:
     # point masses placed away from the means.
     mass_at = {equal.p: masses[0], different.p: masses[1]}
@@ -399,7 +420,7 @@ WIDENING_CASES = [
     ((500, 600), (2, 3), 3),
 ]
 TAIL_BUDGET_POINTS = [
-    # a bundled row's shape under m = c*n (Poisson law)
+    # a bundled row's shape under m = c*n
     (10**13, (76.0, 426.0)),
     (10**5, (5.0, 300.0)),
     # the bundled rows' shape under m = n/c (T4's means)
@@ -428,6 +449,8 @@ def test_best_threshold_widens_bracket_when_crossing_lies_outside(monkeypatch, m
     "pulses, means, masses",
     [(WIDENING_PULSES, means, masses) for means, masses, _ in WIDENING_CASES]
     + [(pulses, means, None) for pulses, means in TAIL_BUDGET_POINTS],
+    # "poisson" names the regime: a binomial over 10^13 pulses with means
+    # this small is Poisson to within 1e-8 relative
     ids=[
         "crossing-above-means",
         "crossing-below-means",
@@ -461,7 +484,7 @@ def test_best_threshold_does_not_depend_on_start(monkeypatch, pulses, means, mas
 
 @pytest.mark.parametrize("pulses, means", TAIL_BUDGET_POINTS)
 def test_best_threshold_tail_budget(monkeypatch, pulses, means):
-    # The search over the full range needs 94 (Poisson, 10^13 pulses) and 40
+    # The search over the full range needs 94 (10^13 pulses) and 40
     # (binomial, 10^5 pulses) tail evaluations here; the search from the
     # equal-probability count needs 4 at each point.
     calls = []
@@ -514,7 +537,7 @@ def test_published_thresholds_under_code_rate_convention():
     threshold on 9 of the 18.  The exceptions are T_asym4's detector 3 (the
     middle observed detector) in every run, published as 5700/5600/5600
     where the model's single-flip Different hypothesis puts the best
-    threshold at 5116/5090/5071.  Each count here is Poisson over 7.5e12 to
+    threshold at 5116/5090/5071.  Each count here is binomial over 7.5e12 to
     5e14 pulses.
     """
     matched, one_above, misses = 0, [], []
@@ -525,7 +548,7 @@ def test_published_thresholds_under_code_rate_convention():
                 equal, different = two_party_asymmetric(rc.alphas, bench.ch, pp, bench.encoding)
             else:
                 equal, different = four_party_asymmetric(run_index, rc.alphas, bench.ch, pp)
-            assert equal.pulses > BINOMIAL_PULSE_LIMIT
+            assert 7_500_000_000_000 <= equal.pulses <= 5 * 10**14
             for detector, (p_eq, p_df, published) in enumerate(
                 zip(equal.per_detector, different.per_detector, rc.thresholds), start=2
             ):
