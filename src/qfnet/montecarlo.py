@@ -14,18 +14,20 @@ compares means, which agree; test_simulate_count_variances_track_the_law
 checks the region sum.  That excess is at most max_r p_r / (1 - p) of the
 variance, so at the bundled rows' click probabilities the two coincide.
 
-A campaign runs _CHUNK_TRIALS trials at a time.  Each chunk is drawn,
-thresholded and coded (one integer per trial's outcome bits, at most 2**9)
-into a fixed-size tally of trials and of count and squared-count sums per
-code and (run, detector), so memory does not grow with trials.  Each code
-that occurred resolves once, by decision.resolve_schedule reading the runs
-adaptively, and is compared with the truth.
+A campaign runs _CHUNK_TRIALS trials at a time and one run at a time: a
+trial draws a run only if decision.resolve_schedule finds its earlier runs
+neither resolved nor inconsistent.  Its outcome bits, 0 for the runs it
+does not draw, become one integer code (at most 2**9) in a fixed-size tally:
+per code, its trials and the float64 sums of counts and squared counts per
+(run, detector), so memory does not grow with trials.  Each code that
+occurred resolves once against the truth.  The sums are exact below 2**53,
+so reports equal those of a draw of every run; beyond, a mean or variance
+may move in its last bits.
 
 Trial t has its own counter-based Philox4x64-10 stream keyed (seed, t + 1),
 so any subset of trials can be reproduced.  Its count (r, d) inverts the
 law at double r * N + d of Generator(Philox(key=np.array([seed, t + 1],
-dtype=np.uint64))).random(runs * N), so the runs the referee skips come
-after the ones it reads.
+dtype=np.uint64))).random(runs * N); for N = 4, run r is Philox block r + 1.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .optics import region_click_matrix
 __all__ = ["TrialSpec", "TrialReport", "simulate", "wilson_interval"]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK_TRIALS = 1024  # trials drawn, coded and tallied in one numpy pass
+_CHUNK_TRIALS = 4096  # trials drawn, coded and tallied in one numpy pass
 # Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -194,46 +196,46 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low and high 64-bit words of m * x, the high one from 32-bit half products."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
-    lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = ((m_lo * x_lo) >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
-    return np.uint64(m) * x, m_hi * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    lh = m_lo * x_hi
+    mid = ((m_lo * x_lo) >> 32) + (lh & 0xFFFFFFFF) + m_hi * x_lo  # below 2**64 - 1
+    return np.uint64(m) * x, m_hi * x_hi + (lh >> 32) + (mid >> 32)
 
 
-def _philox_words(seed: int, start: int, stop: int, words: int) -> np.ndarray:
-    """The first words 64-bit outputs of trials start .. stop - 1: (stop - start, words) uint64.
+def _philox_words(seed: int, trials: np.ndarray, run: int, width: int) -> np.ndarray:
+    """Words run * width .. (run + 1) * width - 1 of trials' streams: (len(trials), width) uint64.
 
     Trial t's stream is Philox4x64-10 keyed (seed, t + 1); its block b = 1,
     2, ... encrypts the counter (b, 0, 0, 0).  That is the stream
     np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64)) returns
-    from random_raw.
+    from random_raw.  Only the blocks that hold the words are encrypted.
     """
-    blocks = -(-words // 4)
-    shape = (stop - start, blocks)
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
-    k1 = np.arange(start + 1, stop + 1, dtype=np.uint64)[:, None]
+    first, stop = run * width // 4, -(-(run + 1) * width // 4)
+    # one row for all trials until the key mixes in: a round and a half cost no per-trial work
+    x0 = np.arange(first + 1, stop + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros_like(x0)
+    k1 = np.asarray(trials, dtype=np.uint64)[:, None] + np.uint64(1)
     for r in range(10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
         lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
         x2 = hi0 ^ x3 ^ (k1 + np.uint64(r * _PHILOX_W[1] % 2**64))
         x0, x1, x3 = hi1 ^ x1 ^ k0, lo1, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(stop - start, -1)[:, :words]
+    skip = run * width - 4 * first
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(trials), -1)[:, skip : skip + width]
 
 
 def _draw_counts(
-    laws: Sequence[Sequence[tuple[int, np.ndarray]]], seed: int, start: int, stop: int
+    laws: Sequence[Sequence[tuple[int, np.ndarray]]], seed: int, trials: np.ndarray, run: int
 ) -> np.ndarray:
-    """Counts of trials start .. stop - 1: (stop - start, runs, N) int64.
+    """One run's counts for the given trials: (len(trials), N) int64.
 
     laws[r][d] is (offset, cdf) of run r, detector d.  Trial t's count (r, d)
     inverts that law at uniform r * N + d of the trial's stream, a double
     (w >> 11) * 2**-53 as Generator.random makes it from word w.
     """
-    flat = [law for run in laws for law in run]
-    uniforms = (_philox_words(seed, start, stop, len(flat)).T >> 11) * 2.0**-53
-    counts = [off + np.searchsorted(cdf, u, side="right") for (off, cdf), u in zip(flat, uniforms)]
-    return np.stack(counts, axis=-1).reshape(stop - start, len(laws), -1)
+    uniforms = (_philox_words(seed, trials, run, len(laws[run])).T >> 11) * 2.0**-53
+    counts = [o + np.searchsorted(cdf, u, side="right") for (o, cdf), u in zip(laws[run], uniforms)]
+    return np.stack(counts, axis=-1)
 
 
 def simulate(spec: TrialSpec) -> TrialReport:
@@ -249,24 +251,37 @@ def simulate(spec: TrialSpec) -> TrialReport:
     observed = observed_detectors(n)  # the contiguous difference ports
     thresholds = np.array([run.thresholds for run in spec.runs])
     # bit j of a trial's outcome code is bit j of its flattened (runs, observed) bits
-    place = 1 << np.arange(n_runs * len(observed), dtype=np.int64)
-    cells = n_runs * n
+    place = (1 << np.arange(n_runs * len(observed), dtype=np.int64)).reshape(n_runs, -1)
     # per code: trials, and float64 sums of counts and squared counts per (run, detector)
-    hits = np.zeros(1 << len(place), dtype=np.int64)
+    hits = np.zeros(1 << place.size, dtype=np.int64)
     sums = np.zeros((2, len(hits), n_runs, n))
+    bits = (np.arange(len(hits))[:, None, None] & place > 0).tolist()  # per code: (runs, observed)
+    # more[r][code]: the trials whose runs 0 .. r give code draw run r + 1.  A prefix
+    # that still needs runs reads one more whatever its bits; one that stops does not.
+    zero, more = [False] * len(observed), [np.zeros(len(hits), dtype=bool)] * n_runs
+    for r in range(n_runs - 1):
+        steps = [resolve_schedule(n, [*p[: r + 1], zero])[1] for p in bits[: place[r + 1, 0]]]
+        more[r] = np.array(steps) > r + 1
     for lo in range(0, spec.trials, _CHUNK_TRIALS):
-        counts = _draw_counts(laws, spec.seed, lo, min(lo + _CHUNK_TRIALS, spec.trials))
-        bits = counts[..., observed[0] : observed[-1] + 1] >= thresholds
-        codes = bits.reshape(len(counts), -1) @ place
+        codes = np.zeros(min(_CHUNK_TRIALS, spec.trials - lo), dtype=np.int64)
+        rows, drawn = np.arange(len(codes)), []  # the chunk's trials that draw run len(drawn)
+        while len(rows):
+            r = len(drawn)
+            counts = _draw_counts(laws, spec.seed, lo + rows, r)
+            codes[rows] += (counts[:, observed[0] : observed[-1] + 1] >= thresholds[r]) @ place[r]
+            drawn.append((rows, counts))
+            rows = rows[more[r][codes[rows]]]
         hits += np.bincount(codes, minlength=len(hits))
-        cell = (codes[:, None] * cells + np.arange(cells)).ravel()
-        values = counts.ravel().astype(np.float64)
+        # run r's counts go to the cells (code, r, detector) of the trials that drew it
+        cell = np.concatenate([codes[rows] * n_runs + r for r, (rows, _) in enumerate(drawn)])
+        cell = (cell[:, None] * n + np.arange(n)).ravel()
+        values = np.concatenate([counts for _, counts in drawn]).ravel().astype(np.float64)
         sums[0] += np.bincount(cell, values, sums[0].size).reshape(sums[0].shape)
         sums[1] += np.bincount(cell, values * values, sums[1].size).reshape(sums[1].shape)
 
     # each outcome code that occurred resolves once; 0 correct, 1 incorrect, 2 inconsistent
     present = np.flatnonzero(hits)
-    verdicts = [resolve_schedule(n, (c & place > 0).reshape(n_runs, -1)) for c in present]
+    verdicts = [resolve_schedule(n, bits[c]) for c in present]
     used = np.array([k for _, k in verdicts])
     grade = [2 if d is None else int(d.relationship != spec.rel) for d, _ in verdicts]
     found = hits[present]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import qfnet.montecarlo as montecarlo
 from qfnet.core import (
     ChannelModel,
     DomainError,
@@ -301,16 +302,29 @@ def _trial_philox(seed, t):
     return np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64))
 
 
+def _every_run(laws, seed, trials):
+    # every run's counts of the given trials, (len(trials), runs, N), one per-run draw each
+    return np.stack([_draw_counts(laws, seed, trials, r) for r in range(len(laws))], axis=1)
+
+
 @pytest.mark.parametrize("seed", [0, DESK_SEED, 2**64 - 1])
 def test_philox_words_are_numpys_philox(seed):
     for t in (0, 1023, 1024, 2**32):
-        for words in (2, 12):
-            want = _trial_philox(seed, t).random_raw(words)
-            np.testing.assert_array_equal(_philox_words(seed, t, t + 1, words)[0], want)
-    # one pass over a range of trials is each trial's own stream
-    block = _philox_words(seed, 1020, 1030, 12)
-    for i, t in enumerate(range(1020, 1030)):
-        np.testing.assert_array_equal(block[i], _trial_philox(seed, t).random_raw(12))
+        want = _trial_philox(seed, t).random_raw(12)
+        # two words of block 1; blocks 1-3, one run of four words each; and runs
+        # of three words, which straddle blocks
+        np.testing.assert_array_equal(_philox_words(seed, np.array([t]), 0, 2)[0], want[:2])
+        for width in (4, 3):
+            for r in range(12 // width):
+                got = _philox_words(seed, np.array([t]), r, width)[0]
+                np.testing.assert_array_equal(got, want[r * width : (r + 1) * width])
+    # one pass over any trials, a range or a scattered subset, is each trial's own stream
+    for trials in (np.arange(1020, 1030), np.array([2**32, 7, 1029, 7, 1020])):
+        for r in range(3):
+            block = _philox_words(seed, trials, r, 4)
+            for i, t in enumerate(trials.tolist()):
+                want = _trial_philox(seed, t).random_raw(12)[4 * r : 4 * r + 4]
+                np.testing.assert_array_equal(block[i], want)
 
 
 def test_trial_counts_come_from_the_trial_key(desk_setup):
@@ -319,13 +333,13 @@ def test_trial_counts_come_from_the_trial_key(desk_setup):
     trials = _CHUNK_TRIALS + 300  # a full chunk and a partial one
     spec = TrialSpec(rel=rel, pp=pp, ch=_LOSSY_CHANNEL, runs=runs, trials=trials, seed=DESK_SEED)
     _, _, laws = _schedule_laws(spec)
-    counts = _draw_counts(laws, spec.seed, 0, spec.trials)
+    counts = _every_run(laws, spec.seed, np.arange(spec.trials))
     assert counts.shape == (trials, 3, 4) and counts.dtype == np.int64
     # both sides of the chunk boundary, and the last trial of the short chunk
     for t in (0, 1, 7, _CHUNK_TRIALS - 1, _CHUNK_TRIALS, trials - 1):
         u = np.random.Generator(_trial_philox(spec.seed, t)).random(3 * 4)
-        # run r reads uniforms 4r .. 4r + 3: a run the referee skips comes
-        # after the ones it reads
+        # run r reads uniforms 4r .. 4r + 3, Philox block r + 1, so drawing it
+        # for only some trials moves no other count
         for r in range(3):
             for d in range(4):
                 offset, cdf = laws[r][d]
@@ -335,9 +349,9 @@ def test_trial_counts_come_from_the_trial_key(desk_setup):
 def test_trial_prefix_reproduces(desk_setup):
     spec = desk_spec("AABC", desk_setup)
     _, _, laws = _schedule_laws(spec)
-    full = _draw_counts(laws, spec.seed, 0, 1_000)
+    full = _every_run(laws, spec.seed, np.arange(1_000))
     for k in (1, 37):
-        np.testing.assert_array_equal(full[:k], _draw_counts(laws, spec.seed, 0, k))
+        np.testing.assert_array_equal(full[:k], _every_run(laws, spec.seed, np.arange(k)))
 
 
 def test_trial_ranges_reproduce(desk_setup):
@@ -345,13 +359,16 @@ def test_trial_ranges_reproduce(desk_setup):
     spec = desk_spec("AABC", desk_setup)
     _, _, laws = _schedule_laws(spec)
     trials = 2 * _CHUNK_TRIALS + 700
-    whole = _draw_counts(laws, spec.seed, 0, trials)
-    # uneven pieces; 37..1029 and 1029..2100 cross chunk boundaries
-    bounds = (0, 1, 37, _CHUNK_TRIALS + 5, 2_100, trials)
-    pieces = [_draw_counts(laws, spec.seed, a, b) for a, b in zip(bounds, bounds[1:])]
+    whole = _every_run(laws, spec.seed, np.arange(trials))
+    # uneven pieces; the middle two cross chunk boundaries
+    bounds = (0, 1, 37, _CHUNK_TRIALS + 5, 2 * _CHUNK_TRIALS + 52, trials)
+    pieces = [_every_run(laws, spec.seed, np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(np.concatenate(pieces), whole)
     # a suffix that does not start at 0 or on a chunk boundary
-    np.testing.assert_array_equal(_draw_counts(laws, spec.seed, 777, trials), whole[777:])
+    np.testing.assert_array_equal(_every_run(laws, spec.seed, np.arange(777, trials)), whole[777:])
+    # the scattered trials that go on to a later run, in any order
+    subset = np.array([trials - 1, 5, _CHUNK_TRIALS, 777, 5])
+    np.testing.assert_array_equal(_every_run(laws, spec.seed, subset), whole[subset])
 
 
 # --- in-process draw ---------------------------------------------------------
@@ -381,10 +398,10 @@ def test_small_campaign_draws_serially(desk_setup, monkeypatch):
     # campaigns shorter than one chunk, down to a single trial
     spec = desk_spec("AABC", desk_setup)
     _, _, laws = _schedule_laws(spec)
-    whole = _draw_counts(laws, spec.seed, 0, _CHUNK_TRIALS)
+    whole = _every_run(laws, spec.seed, np.arange(_CHUNK_TRIALS))
     _forbid_processes(monkeypatch)
     for trials in (1, 2, _CHUNK_TRIALS - 1):
-        np.testing.assert_array_equal(_draw_counts(laws, spec.seed, 0, trials), whole[:trials])
+        np.testing.assert_array_equal(_every_run(laws, spec.seed, np.arange(trials)), whole[:trials])
         report = simulate(dataclasses.replace(spec, trials=trials))
         assert sum(report.runs_histogram.values()) == trials
     # one trial: its own counts are the means, with no spread
@@ -541,9 +558,9 @@ def test_simulate_count_variances_track_the_law(desk_setup, label, channel):
 
 
 def _per_trial_reduction(spec):
-    # one draw over the whole range, each trial resolved and summed on its own
+    # every run drawn for the whole range, each trial resolved and summed on its own
     _, _, laws = _schedule_laws(spec)
-    counts = _draw_counts(laws, spec.seed, 0, spec.trials).tolist()
+    counts = _every_run(laws, spec.seed, np.arange(spec.trials)).tolist()
     observed = observed_detectors(spec.pp.N)
     grades = {"correct": 0, "incorrect": 0, "inconsistent": 0}
     histogram = {}
@@ -596,6 +613,32 @@ def test_simulate_is_the_per_trial_reduction(desk_setup, label, channel, trials)
         assert histogram == {1: trials} and not executed[1]
 
 
+@pytest.mark.parametrize(
+    "label, channel", [("AAAA", "desk"), ("AABC", "desk"), ("ABCD", "desk"), ("ABBA", "lossy")]
+)
+def test_simulate_draws_only_the_runs_the_referee_reads(desk_setup, label, channel, monkeypatch):
+    # lossy ABBA mixes 2 and 3 runs and has inconsistent trials, which stop drawing
+    pp, ch, runs = desk_setup
+    ch = _LOSSY_CHANNEL if channel == "lossy" else ch
+    trials = _CHUNK_TRIALS + 300
+    spec = TrialSpec(
+        rel=Relationship.from_label(label), pp=pp, ch=ch, runs=runs, trials=trials, seed=DESK_SEED
+    )
+    rows = [0] * len(runs)
+    draw = montecarlo._philox_words
+
+    def counted(seed, trials, run, width):
+        rows[run] += len(trials)
+        return draw(seed, trials, run, width)
+
+    monkeypatch.setattr(montecarlo, "_philox_words", counted)
+    report = simulate(spec)
+    assert rows == [entry["executions"] for entry in report.per_detector_count_stats]
+    assert rows[0] == trials
+    if label == "ABBA":
+        assert report.empirical_inconsistent_rate > 0 and 0 < rows[2] < rows[1]
+
+
 def test_simulate_memory_does_not_grow_with_trials(desk_setup):
     spec = desk_spec("ABCD", desk_setup)
     # one campaign first, so that what a process allocates once stays out of both peaks
@@ -631,9 +674,11 @@ _PINNED_FOUR_PARTY = {
     ("ABAB", "lossy"): "2145e0b5d58ee56fb89153aaffee0131ae18092a1f735bf6ea0c5939a52f54d8",
     ("ABBA", "lossy"): "58eb75f319c4a426ec39f55c7bb652cc9ca60ecc9e9441aaa314f2f3f69648e5",
 }
-# Campaigns longer than one draw chunk: trials on both sides of every chunk
-# boundary feed the same statistics.  AABC has 11 three-run and 11 incorrect
-# trials; ABBA mixes 2 and 3 runs and is 37% inconsistent, 49% incorrect.
+# Campaigns of 2 500 trials, pinned when a draw chunk held 1 024 trials.
+# test_report_does_not_depend_on_the_chunk_size draws them at several chunk
+# sizes: trials on both sides of every chunk boundary feed the same
+# statistics.  AABC has 11 three-run and 11 incorrect trials; ABBA mixes 2
+# and 3 runs and is 37% inconsistent, 49% incorrect.
 _PINNED_MULTI_BLOCK = {
     "AABC": "5e2e4e8b31c7665233ee2619b36db4dd0ef8f7d3d8dcff13d5bf8d06a8aa3554",
     "ABBA": "dbc01acda373faf96d51a47341daa61ccc175c96a3400216dc5ce8854b59e64b",
@@ -676,6 +721,13 @@ def _multi_block_spec(desk, label):
 @pytest.mark.parametrize("label", sorted(_PINNED_MULTI_BLOCK))
 def test_simulate_multi_block_output_is_pinned(desk_setup, label):
     assert _digest(simulate(_multi_block_spec(desk_setup, label))) == _PINNED_MULTI_BLOCK[label]
+
+
+@pytest.mark.parametrize("chunk", [1_024, 337])
+def test_report_does_not_depend_on_the_chunk_size(desk_setup, chunk, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
+    for label in sorted(_PINNED_MULTI_BLOCK):
+        assert _digest(simulate(_multi_block_spec(desk_setup, label))) == _PINNED_MULTI_BLOCK[label]
 
 
 @pytest.mark.parametrize("label, encoding", sorted(_PINNED_TWO_PARTY))
