@@ -437,13 +437,18 @@ def relationship_profile(
 
 def integers(values: Sequence, field: str) -> tuple[int, ...]:
     """values as ints; DomainError unless each is integral (int, numpy integer, 2.0) and no bool."""
+    out = []
     for v in values:
-        if isinstance(v, bool) or not (
-            isinstance(v, numbers.Integral)
-            or (isinstance(v, numbers.Real) and float(v).is_integer())
-        ):
-            raise DomainError(f"{field} must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
+        # an exact int passes as it is; the ABC checks cost ~1.4 us a value
+        if type(v) is not int:
+            if isinstance(v, bool) or not (
+                isinstance(v, numbers.Integral)
+                or (isinstance(v, numbers.Real) and float(v).is_integer())
+            ):
+                raise DomainError(f"{field} must be integers, got {v!r}")
+            v = int(v)
+        out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

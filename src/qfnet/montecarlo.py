@@ -272,12 +272,12 @@ def simulate(spec: TrialSpec) -> TrialReport:
             drawn.append((rows, counts))
             rows = rows[more[r][codes[rows]]]
         hits += np.bincount(codes, minlength=len(hits))
-        # run r's counts go to the cells (code, r, detector) of the trials that drew it
-        cell = np.concatenate([codes[rows] * n_runs + r for r, (rows, _) in enumerate(drawn)])
-        cell = (cell[:, None] * n + np.arange(n)).ravel()
-        values = np.concatenate([counts for _, counts in drawn]).ravel().astype(np.float64)
-        sums[0] += np.bincount(cell, values, sums[0].size).reshape(sums[0].shape)
-        sums[1] += np.bincount(cell, values * values, sums[1].size).reshape(sums[1].shape)
+        # run r's counts go to the cells (code, detector) of run r, one run at a time
+        for r, (rows, counts) in enumerate(drawn):
+            cell = (codes[rows, None] * n + np.arange(n)).ravel()
+            values = counts.ravel().astype(np.float64)
+            sums[0, :, r] += np.bincount(cell, values, len(hits) * n).reshape(-1, n)
+            sums[1, :, r] += np.bincount(cell, values * values, len(hits) * n).reshape(-1, n)
 
     # each outcome code that occurred resolves once; 0 correct, 1 incorrect, 2 inconsistent
     present = np.flatnonzero(hits)

@@ -170,7 +170,7 @@ def _optimize_run(
     ray = [r / top for r in ray]
 
     def at(scale: float, direction: Sequence[float] = ray) -> tuple[float, ...]:
-        return tuple(min(hi, max(lo, scale * r)) for r in direction)
+        return tuple([min(hi, max(lo, scale * r)) for r in direction])
 
     def evaluate(alphas: Sequence[float]) -> tuple[float, tuple[int, ...]]:
         counter[0] += 1

@@ -31,6 +31,7 @@ from .core import (
     ProtocolParams,
     Relationship,
     check_network,
+    integers,
     relationship_profile,
     run_pairing,
 )
@@ -57,16 +58,19 @@ class ClickProfile:
     pulses: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "per_detector", tuple(float(p) for p in self.per_detector)
-        )
-        if not self.per_detector:
+        probs = tuple(map(float, self.per_detector))
+        object.__setattr__(self, "per_detector", probs)
+        if not probs:
             raise DomainError("per_detector must be non-empty")
-        for p in self.per_detector:
+        for p in probs:
             if not (0.0 <= p <= 1.0):
                 raise DomainError(f"click probabilities must lie in [0, 1], got {p!r}")
-        if self.pulses < 1:
-            raise DomainError(f"pulses must be >= 1, got {self.pulses}")
+        pulses = self.pulses
+        if type(pulses) is not int:
+            (pulses,) = integers((pulses,), "pulses")
+            object.__setattr__(self, "pulses", pulses)
+        if pulses < 1:
+            raise DomainError(f"pulses must be >= 1, got {pulses}")
 
 
 # One mixture term of a detector: (weight, direct intensity, complement intensity).
@@ -143,7 +147,7 @@ def _attenuated(
     if len(alphas) != channel.n_senders:
         raise DomainError(f"need {channel.n_senders} amplitudes, got {len(alphas)}")
     for a in alphas:
-        if not (float(a) >= 0.0 and math.isfinite(float(a))):
+        if not 0.0 <= float(a) < math.inf:  # False for NaN
             raise DomainError(f"amplitudes must be finite and >= 0, got {a!r}")
     sqrt_eta = channel.sqrt_eta
     return [sqrt_eta[s - 1] * float(alphas[s - 1]) for s in order]

@@ -228,7 +228,9 @@ def test_optimize_result_serializes():
 # change to the search, the click model or the threshold choice changes a
 # digest, so a speed-up of any of them must leave these alone.  The digests
 # also depend on scipy's betainc/betaincc values (the count tails behind every
-# threshold and p_e): a scipy release that moves them by one ulp changes them
+# threshold and p_e, read through scipy.special.cython_special's scalar entry
+# points, which give the ufuncs' values bit for bit without the ufuncs' ~1 us
+# dispatch a call): a scipy release that moves them by one ulp changes them
 # without any change here.
 _DESK_PROTOCOL = {"n": 500_000, "c": 0.2, "delta": 0.22, "epsilon": 1e-3}
 _DESK_DARK_COUNT = 5e-5

@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -296,6 +297,17 @@ def test_click_profile_validation():
         ClickProfile(per_detector=(0.1,), pulses=0)
     with pytest.raises(DomainError):
         ClickProfile(per_detector=(), pulses=10)
+
+
+def test_click_profile_takes_integral_pulses():
+    # CountModel's rule: 100.0 and numpy integers read as 100; 100.5 and
+    # True are no pulse count
+    for pulses in (100, 100.0, np.int64(100)):
+        profile = ClickProfile(per_detector=(0.1,), pulses=pulses)
+        assert type(profile.pulses) is int and profile.pulses == 100
+    for pulses in (100.5, True, "100", None):
+        with pytest.raises(DomainError, match="pulses must be integers"):
+            ClickProfile(per_detector=(0.1,), pulses=pulses)
 
 
 # --- pinned closed forms -----------------------------------------------------

@@ -4,8 +4,9 @@ The binomial oracle sums probability mass with Fraction arithmetic (no
 floating point at all) and, at 10^9 pulses, sums the pmf's ratio recurrence
 with fsum.  The library evaluates the tails with scipy.special's
 betainc/betaincc at every pulse count and must agree to near machine
-precision.  A parity check pins those ufuncs to the scipy.stats
-distribution they replace.
+precision.  A parity check pins those functions to the scipy.stats
+distribution they replace, and another pins the scalar cython_special entry
+points the library calls to the scipy.special ufuncs, bit for bit.
 """
 
 import dataclasses
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import betainc as ufunc_betainc
+from scipy.special import betaincc as ufunc_betaincc
 
 from qfnet import stats
 from qfnet.benchmarks import BENCHMARKS
@@ -217,6 +220,80 @@ def test_tails_at_optimized_bundled_thresholds_match_recurrence_law():
                         assert got == pytest.approx(math.fsum(mass.tolist()), rel=1e-12, abs=0)
                         checked += 1
     assert checked == 30
+
+
+def _ufunc_tails(model, t):
+    """(P(C > t), P(C < t)) by stats' formulas through the scipy.special ufuncs."""
+    pulses, p = model.pulses, model.p
+    if t >= pulses:
+        above = 0.0
+    elif t + 1 <= pulses * p:
+        above = 1.0 - float(ufunc_betaincc(t + 1, pulses - t, p))
+    else:
+        above = float(ufunc_betainc(t + 1, pulses - t, p))
+    below = 0.0 if t == 0 else float(ufunc_betaincc(t, pulses - t + 1, p))
+    return above, below
+
+
+def assert_tails_are_the_ufuncs(model, points):
+    for t in points:
+        got = tail_above(model, t), tail_below(model, t)
+        assert [type(x) for x in got] == [float, float]
+        assert [x.hex() for x in got] == [x.hex() for x in _ufunc_tails(model, t)], (model, t)
+
+
+def test_tails_equal_the_scipy_special_ufuncs_bit_for_bit():
+    """The scalar cython_special entry points run the ufuncs' Boost kernels.
+
+    Over test_tails_match_scipy_stats' grid, 10^13 pulses included, and at
+    the crossings of the bundled optimized rows and their neighbours.
+    """
+    models = [
+        CountModel(pulses, p)
+        for pulses in (1, 7, 250, 5_000, 100_000, 10**6)
+        for p in (0.0, 1e-6, 0.013, 0.3, 0.5, 0.97, 1.0)
+    ]
+    models += [
+        CountModel(10**13, mean / 10**13) for mean in (0.0, 1e-3, 5.0, 238.0, 1e4, 1e7, 1e12)
+    ]
+    for model in models:
+        p = model.p
+        sd = math.sqrt(model.pulses * p * (1.0 - p))
+        assert_tails_are_the_ufuncs(model, _grid_points(model.pulses, model.mean, sd))
+    crossings = 0
+    for bench in BENCHMARKS.values():
+        problem = OptimizationProblem(
+            pp=bench.pp, ch=bench.ch, encoding=bench.encoding, runs=len(bench.runs)
+        )
+        for run_index, rc in enumerate(optimize(problem).per_run, start=1):
+            equal, different = _run_profiles(problem, run_index, rc.alphas)
+            for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, rc.thresholds):
+                for model in (CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)):
+                    assert_tails_are_the_ufuncs(model, (t - 1, t, t + 1))
+                crossings += 1
+    assert crossings == 21
+
+
+def test_count_points_are_integral_but_not_bool_or_float():
+    # numpy integers read as their value; True is no count.  A float count
+    # point, 5.0 included, stays an error (test_count_model_validation).
+    model = CountModel(10, 0.5)
+    for tail in (tail_above, tail_below):
+        assert tail(model, np.int64(5)) == tail(model, 5)
+        for t in (True, 5.0, np.float64(5.0)):
+            with pytest.raises(DomainError, match="count points must be integers"):
+                tail(model, t)
+    with pytest.raises(DomainError, match="outside"):
+        tail_above(model, np.int64(11))
+
+
+def test_count_model_reads_p_as_a_python_float():
+    # the scalar tails take Python floats only: an int or numpy p converts
+    for p, want in ((1, 1.0), (0, 0.0), (np.float64(0.25), 0.25), (np.float32(0.5), 0.5)):
+        model = CountModel(10, p)
+        assert type(model.p) is float and model.p == want
+        assert tail_above(model, 3) == tail_above(CountModel(10, want), 3)
+        assert tail_below(model, 3) == tail_below(CountModel(10, want), 3)
 
 
 def test_count_model_is_a_frozen_pulses_p_pair():
