@@ -211,7 +211,7 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
         return ThresholdChoice(t, max(e_eq, e_df), degenerate=True)
 
     pulses = equal.pulses
-    # the search reads each count point once: no point is tried twice
+    # errors per count point read; the search never reads a point twice
     errors: dict[int, tuple[float, float]] = {}
 
     def diff_dominates(t: int) -> bool:
