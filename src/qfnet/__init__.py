@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .core import (
     ChannelModel,
+    CountModel,
     DomainError,
     Encoding,
     PatternFractions,
@@ -26,12 +27,11 @@ from .core import (
     run_pairing,
     worst_case_regions,
 )
-from .probmodel import ClickProfile
 
 __all__ = [
     "__version__",
     "ChannelModel",
-    "ClickProfile",
+    "CountModel",
     "DomainError",
     "Encoding",
     "PatternFractions",

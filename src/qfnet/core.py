@@ -27,6 +27,7 @@ __all__ = [
     "DomainError",
     "ProtocolParams",
     "ChannelModel",
+    "CountModel",
     "Encoding",
     "Relationship",
     "PatternRegion",
@@ -94,9 +95,10 @@ class ProtocolParams:
                 stacklevel=3,
             )
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Codeword length in bits."""
+        # once per protocol: every profile reads it
         return int(round(self.c * self.n))
 
 
@@ -176,6 +178,40 @@ class Encoding(str, Enum):
 # The members bound once: under Python 3.11 reading one off the class costs
 # ~0.2 us, several times a comparison, on the optimizer's profile path.
 _SINGLE_BIT, _TWO_BIT = Encoding.SINGLE_BIT, Encoding.TWO_BIT
+
+
+@dataclass(frozen=True)
+class CountModel:
+    """Binomial law of one detector's click count over a codeword.
+
+    A threshold detector clicks on each pulse independently, so its count
+    over the codeword is Binomial(pulses, p), exactly, at every pulse count.
+    The closed forms and the oracle give one per detector and hypothesis;
+    the count tails and threshold selection read them.
+
+    pulses  number of pulses accumulated
+    p       per-pulse click probability
+    """
+
+    pulses: int
+    p: float
+
+    def __post_init__(self) -> None:
+        pulses, p = self.pulses, self.p
+        if type(pulses) is not int:
+            (pulses,) = integers((pulses,), "pulses")
+            object.__setattr__(self, "pulses", pulses)
+        if pulses < 1:
+            raise DomainError(f"pulses must be >= 1, got {pulses}")
+        if not (0.0 <= p <= 1.0):
+            raise DomainError(f"p must lie in [0, 1], got {p!r}")
+        if type(p) is not float:
+            # the scalar tails take Python floats only
+            object.__setattr__(self, "p", float(p))
+
+    @property
+    def mean(self) -> float:
+        return self.pulses * self.p
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +314,8 @@ def enumerate_relationships(n: int) -> list[Relationship]:
     The count is the n-th Bell number; n is capped to keep the enumeration
     snappy.
     """
-    if not isinstance(n, int) or not (2 <= n <= MAX_SENDERS):
+    (n,) = integers((n,), "n")
+    if not 2 <= n <= MAX_SENDERS:
         raise DomainError(f"n must be an integer in [2, {MAX_SENDERS}], got {n!r}")
     # Restricted growth labels: each new sender joins an open group or opens
     # the next one.  Extending a sorted list keeps it sorted.

@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     Relationship,
     enumerate_relationships,
+    integers,
     relationship_profile,
     run_pairing,
 )
@@ -254,6 +255,7 @@ def resolve_f_ae(
 
 def run_budget(N: int, target: str, scheme: str) -> int:
     """Worst-case number of runs budgeted for a scheme/target combination."""
+    (N,) = integers((N,), "N")
     if N < 2:
         raise DomainError(f"N must be >= 2, got {N}")
     if target not in ("AE", "R"):

@@ -22,8 +22,9 @@ of its support negated.  With interference visibility nu < 1 a fraction
 region_click_matrix is the one implementation of the per-pulse click model:
 it propagates each worst-case pattern region's joint phases through these
 rows and returns the region weights with a (region, detector) matrix of click
-probabilities.  oracle_click_profile mixes its rows by weight; the Monte Carlo
-draws each region's counts from it.
+probabilities.  oracle_click_profile mixes its rows by weight into one count
+law (core.CountModel) per detector; the Monte Carlo draws each region's counts
+from it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from .core import (
     ChannelModel,
+    CountModel,
     DomainError,
     Encoding,
     ProtocolParams,
@@ -42,7 +44,6 @@ from .core import (
     check_network,
     worst_case_regions,
 )
-from .probmodel import ClickProfile
 
 __all__ = [
     "transfer_rows",
@@ -146,8 +147,8 @@ def oracle_click_profile(
     run: RunConfig,
     channel: ChannelModel,
     protocol: ProtocolParams,
-) -> ClickProfile:
-    """Per-pulse click probabilities by direct enumeration through the tree.
+) -> tuple[CountModel, ...]:
+    """Every detector's count law by direct enumeration through the tree.
 
     Mixes region_click_matrix's rows by region weight, then adds dark counts
     and clips.  Independent of the closed-form route, which never touches the
@@ -155,7 +156,5 @@ def oracle_click_profile(
     """
     weights, probs = region_click_matrix(rel, run, channel, protocol)
     probs = np.clip(np.array(weights) @ probs + channel.dark_count, 0.0, 1.0)
-    return ClickProfile(
-        per_detector=tuple(float(p) for p in probs),
-        pulses=run.encoding.pulses(protocol.m),
-    )
+    pulses = run.encoding.pulses(protocol.m)
+    return tuple(CountModel(pulses, float(p)) for p in probs)

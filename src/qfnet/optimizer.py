@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 from .complexity import q_total
 from .core import (
     ChannelModel,
+    CountModel,
     DomainError,
     Encoding,
     ProtocolParams,
@@ -52,12 +53,8 @@ from .core import (
     integers,
     run_pairing,
 )
-from .probmodel import (
-    ClickProfile,
-    four_party_asymmetric,
-    two_party_asymmetric,
-)
-from .stats import CountModel, ThresholdChoice, best_threshold, error_probability
+from .probmodel import four_party_asymmetric, two_party_asymmetric
+from .stats import ThresholdChoice, best_threshold, error_probability
 
 __all__ = ["OptimizationProblem", "OptimizationResult", "optimize", "evaluate_fixed"]
 
@@ -127,15 +124,16 @@ class OptimizationResult:
 
 def _run_profiles(
     problem: OptimizationProblem, run_index: int, alphas: Sequence[float]
-) -> tuple[ClickProfile, ClickProfile]:
+) -> tuple[tuple[CountModel, ...], tuple[CountModel, ...]]:
     if problem.pp.N == 2:
         return two_party_asymmetric(alphas, problem.ch, problem.pp, problem.encoding)
     return four_party_asymmetric(run_index, alphas, problem.ch, problem.pp)
 
 
-# One search's threshold choices, keyed by (Equal pulses, Equal probability,
-# Different pulses, Different probability) of a detector.
-_Chosen = dict[tuple[int, float, int, float], ThresholdChoice]
+# One search's threshold choices, keyed by a detector's (pulses, Equal
+# probability, Different probability): plain numbers hash faster than a pair
+# of CountModels.
+_Chosen = dict[tuple[int, float, float], ThresholdChoice]
 
 
 def _pe_thresholds(
@@ -145,13 +143,11 @@ def _pe_thresholds(
     equal, diff = _run_profiles(problem, run_index, alphas)
     worst = 0.0
     ths = []
-    for p_eq, p_df in zip(equal.per_detector, diff.per_detector):
-        key = (equal.pulses, p_eq, diff.pulses, p_df)
+    for eq, df in zip(equal, diff):
+        key = (eq.pulses, eq.p, df.p)
         choice = chosen.get(key)
         if choice is None:
-            choice = chosen[key] = best_threshold(
-                CountModel(equal.pulses, p_eq), CountModel(diff.pulses, p_df)
-            )
+            choice = chosen[key] = best_threshold(eq, df)
         ths.append(choice.threshold)
         worst = max(worst, choice.p_e)
     return worst, tuple(ths)

@@ -10,7 +10,9 @@ and Ic_i is what the pattern sends to the detector's complement port (the
 other output of its final splitter) — which is where a fraction (1 - nu) of
 the light effectively goes when the interference visibility nu is below one.
 Each model lists its detectors' (w_i, I_i, Ic_i) terms and one helper sums
-them with the channel's visibility and dark count.
+them with the channel's visibility and dark count into each detector's
+count law, a core.CountModel(pulses, P): the models return one per
+detector, and stats reads them as they are.
 
 This module never touches the transfer matrix: intensities come from the
 pattern fractions and algebraic port sums, so it forms an independent route
@@ -20,57 +22,26 @@ against the enumeration oracle in the optics module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     _SINGLE_BIT,
     ChannelModel,
+    CountModel,
     DomainError,
     Encoding,
     ProtocolParams,
     Relationship,
     check_network,
-    integers,
     relationship_profile,
     run_pairing,
 )
 
 __all__ = [
-    "ClickProfile",
     "four_party_symmetric",
     "two_party_asymmetric",
     "four_party_asymmetric",
 ]
-
-
-@dataclass(frozen=True)
-class ClickProfile:
-    """Per-pulse click probability of each detector under one hypothesis.
-
-    per_detector  probabilities indexed by detector (all tree outputs for a
-                  relationship; observed detectors only for the Equal/Different
-                  pair models)
-    pulses        pulses per codeword the counts are accumulated over
-    """
-
-    per_detector: tuple[float, ...]
-    pulses: int
-
-    def __post_init__(self) -> None:
-        probs = tuple(map(float, self.per_detector))
-        object.__setattr__(self, "per_detector", probs)
-        if not probs:
-            raise DomainError("per_detector must be non-empty")
-        for p in probs:
-            if not (0.0 <= p <= 1.0):
-                raise DomainError(f"click probabilities must lie in [0, 1], got {p!r}")
-        pulses = self.pulses
-        if type(pulses) is not int:
-            (pulses,) = integers((pulses,), "pulses")
-            object.__setattr__(self, "pulses", pulses)
-        if pulses < 1:
-            raise DomainError(f"pulses must be >= 1, got {pulses}")
 
 
 # One mixture term of a detector: (weight, direct intensity, complement intensity).
@@ -79,16 +50,16 @@ _Term = tuple[float, float, float]
 
 def _profile(
     detectors: Sequence[Sequence[_Term]], channel: ChannelModel, pulses: int
-) -> ClickProfile:
-    """Sum each detector's terms, plus the dark count, into a ClickProfile."""
+) -> tuple[CountModel, ...]:
+    """Each detector's count law: its terms plus the dark count, per pulse."""
     nu = channel.visibility
-    probs = []
+    laws = []
     for terms in detectors:
         p = 0.0
         for w, i, ic in terms:
             p += w * (nu * -math.expm1(-i) + (1.0 - nu) * -math.expm1(-ic))
-        probs.append(min(1.0, max(0.0, p + channel.dark_count)))
-    return ClickProfile(tuple(probs), pulses)
+        laws.append(CountModel(pulses, min(1.0, max(0.0, p + channel.dark_count))))
+    return tuple(laws)
 
 
 def four_party_symmetric(
@@ -97,8 +68,8 @@ def four_party_symmetric(
     channel: ChannelModel,
     protocol: ProtocolParams,
     pairing: Sequence[int] | None = None,
-) -> ClickProfile:
-    """All four detectors' probabilities for one relationship, equal channels.
+) -> tuple[CountModel, ...]:
+    """All four detectors' count laws for one relationship, equal channels.
 
     Every sender uses mean photon number mu over m pulses through identical
     transmission eta.  Per position class the detectors see (in units of
@@ -171,8 +142,8 @@ def two_party_asymmetric(
     channel: ChannelModel,
     protocol: ProtocolParams,
     encoding: Encoding = Encoding.SINGLE_BIT,
-) -> tuple[ClickProfile, ClickProfile]:
-    """Two-party Equal/Different profiles (one observed detector).
+) -> tuple[tuple[CountModel, ...], tuple[CountModel, ...]]:
+    """Two-party Equal/Different count laws of the one observed detector.
 
     With attenuated amplitudes beta_k = sqrt(eta_k)*alpha_k the difference
     port sees per-pulse intensity (b1 - b2)**2 / (2m) on agreeing positions
@@ -207,8 +178,8 @@ def four_party_asymmetric(
     alphas: Sequence[float],
     channel: ChannelModel,
     protocol: ProtocolParams,
-) -> tuple[ClickProfile, ClickProfile]:
-    """Equal/Different profiles of one run with per-sender amplitudes.
+) -> tuple[tuple[CountModel, ...], tuple[CountModel, ...]]:
+    """Equal/Different count laws of one run with per-sender amplitudes.
 
     alphas[s - 1] is sender s's amplitude.  Ports hold senders (i,j,k,l) =
     run_pairing(run_index); with b_x = sqrt(eta_x)*alpha_x the observed
@@ -224,10 +195,10 @@ def four_party_asymmetric(
 
     Complement intensities flip the sign of the second operand (detector 2:
     the port-j field; detector 3: the right-pair sum; detector 4: the port-l
-    field).  With equal amplitudes and transmissions the Equal profile is
-    four_party_symmetric's AAAA row at the observed detectors, and each
-    detector's Different probability its row under a single-sender split
-    that the detector sees.
+    field).  With equal amplitudes and transmissions the Equal laws are
+    four_party_symmetric's AAAA laws at the observed detectors, and each
+    detector's Different law its law under a single-sender split that the
+    detector sees.
     """
     check_network(4, protocol.N, channel.n_senders)
     delta = protocol.delta

@@ -1,8 +1,9 @@
 """Count statistics over a codeword's pulses and threshold selection.
 
-A detector's codeword count is the number of pulses that produced a click.
-CountModel(pulses, p) reads it as Binomial(pulses, p), exactly, at every
-pulse count.
+A detector's codeword count is the number of pulses that produced a click,
+read as core.CountModel(pulses, p): Binomial(pulses, p), exactly, at every
+pulse count.  The closed forms and the oracle give one such law per
+detector and hypothesis.
 
 The tails are scipy's regularized incomplete beta functions, called
 through their scalar entry points in scipy.special.cython_special with
@@ -34,46 +35,15 @@ from typing import Sequence
 
 from scipy.special.cython_special import betainc, betaincc
 
-from .core import DomainError, integers
-from .probmodel import ClickProfile
+from .core import CountModel, DomainError, integers
 
 __all__ = [
-    "CountModel",
     "ThresholdChoice",
     "tail_above",
     "tail_below",
     "error_probability",
     "best_threshold",
 ]
-
-
-@dataclass(frozen=True)
-class CountModel:
-    """Distribution of one detector's click count over a codeword.
-
-    pulses  number of pulses accumulated
-    p       per-pulse click probability
-    """
-
-    pulses: int
-    p: float
-
-    def __post_init__(self) -> None:
-        pulses, p = self.pulses, self.p
-        if type(pulses) is not int:
-            (pulses,) = integers((pulses,), "pulses")
-            object.__setattr__(self, "pulses", pulses)
-        if pulses < 1:
-            raise DomainError(f"pulses must be >= 1, got {pulses}")
-        if not (0.0 <= p <= 1.0):
-            raise DomainError(f"p must lie in [0, 1], got {p!r}")
-        if type(p) is not float:
-            # the scalar tails take Python floats only
-            object.__setattr__(self, "p", float(p))
-
-    @property
-    def mean(self) -> float:
-        return self.pulses * self.p
 
 
 def _check_point(model: CountModel, t: int) -> int:
@@ -110,6 +80,13 @@ def tail_below(model: CountModel, t: int) -> float:
     return betaincc(float(t), float(model.pulses - t + 1), model.p)
 
 
+def _check_pulses(equal: CountModel, different: CountModel) -> None:
+    if equal.pulses != different.pulses:
+        raise DomainError(
+            f"count laws cover different pulse counts: {equal.pulses} vs {different.pulses}"
+        )
+
+
 def _decision_errors(equal: CountModel, different: CountModel, t: int) -> tuple[float, float]:
     # Errors of the rule "count >= t means Different": P_equal(C >= t) and
     # P_different(C < t).  tail_below checks t first.
@@ -118,13 +95,13 @@ def _decision_errors(equal: CountModel, different: CountModel, t: int) -> tuple[
 
 
 def error_probability(
-    pairs: Sequence[tuple[ClickProfile, ClickProfile]],
+    pairs: Sequence[tuple[Sequence[CountModel], Sequence[CountModel]]],
     thresholds: Sequence[Sequence[int]],
 ) -> float:
     """Protocol error probability over runs under the referee's rule.
 
-    ``pairs`` holds one (Equal, Different) profile pair per run, with one
-    probability per observed detector; ``thresholds`` the matching per-run
+    ``pairs`` holds one (Equal, Different) pair of count-law tuples per run,
+    one law per observed detector; ``thresholds`` the matching per-run
     integral threshold tuples.  Returns the max over all runs and detectors
     of P_equal(C >= t) and P_different(C < t), the event best_threshold
     minimizes.
@@ -136,22 +113,17 @@ def error_probability(
         )
     worst = 0.0
     for (equal, different), run_ths in zip(pairs, thresholds):
-        if equal.pulses != different.pulses:
+        if not equal:
+            raise DomainError("a run has no detectors")
+        if not len(equal) == len(different) == len(run_ths):
             raise DomainError(
-                f"Equal/Different profiles cover different pulse counts: "
-                f"{equal.pulses} vs {different.pulses}"
-            )
-        if not (
-            len(equal.per_detector) == len(different.per_detector) == len(run_ths)
-        ):
-            raise DomainError(
-                f"profiles have {len(equal.per_detector)} detectors, got "
-                f"{len(run_ths)} thresholds"
+                f"a run has {len(equal)} Equal laws, {len(different)} Different laws "
+                f"and {len(run_ths)} thresholds"
             )
         ths = integers(run_ths, "thresholds")
-        for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, ths):
-            laws = CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
-            worst = max(worst, *_decision_errors(*laws, t))
+        for eq, df, t in zip(equal, different, ths):
+            _check_pulses(eq, df)
+            worst = max(worst, *_decision_errors(eq, df, t))
     return worst
 
 
@@ -201,10 +173,7 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
     threshold separates them; the rounded midpoint is returned with
     ``degenerate=True``.
     """
-    if equal.pulses != different.pulses:
-        raise DomainError(
-            f"count models cover different pulse counts: {equal.pulses} vs {different.pulses}"
-        )
+    _check_pulses(equal, different)
     if math.isclose(equal.mean, different.mean, rel_tol=1e-12, abs_tol=1e-12):
         t = int(round(equal.mean))  # in [0, pulses], as p is in [0, 1]
         e_eq, e_df = _decision_errors(equal, different, t)

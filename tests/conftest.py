@@ -12,7 +12,7 @@ import pytest
 
 from qfnet.core import ChannelModel, Encoding, ProtocolParams, RunConfig, run_pairing
 from qfnet.probmodel import four_party_asymmetric
-from qfnet.stats import CountModel, best_threshold
+from qfnet.stats import best_threshold
 
 # Operating point used by the Monte Carlo tests and the statistical
 # acceptance check: m = 1e5 pulses, dark counts put the Equal mean at
@@ -31,13 +31,7 @@ def desk_setup():
     ch = ChannelModel(eta=(1.0, 1.0, 1.0, 1.0), dark_count=5e-5)
     alphas = (math.sqrt(desk_mu(pp.delta)),) * 4
     equal, different = four_party_asymmetric(1, alphas, ch, pp)
-    thresholds = tuple(
-        best_threshold(
-            CountModel(equal.pulses, p_eq),
-            CountModel(different.pulses, p_df),
-        ).threshold
-        for p_eq, p_df in zip(equal.per_detector, different.per_detector)
-    )
+    thresholds = tuple(best_threshold(eq, df).threshold for eq, df in zip(equal, different))
     runs = tuple(
         RunConfig(
             alphas=alphas,

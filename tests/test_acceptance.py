@@ -186,10 +186,7 @@ def test_criterion_4_closed_forms_match_oracle():
             oracle = oracle_click_profile(rel, run, ch, pp)
             worst = max(
                 worst,
-                max(
-                    abs(a - b)
-                    for a, b in zip(closed.per_detector, oracle.per_detector)
-                ),
+                max(abs(a.p - b.p) for a, b in zip(closed, oracle)),
             )
 
     for encoding in (Encoding.SINGLE_BIT, Encoding.TWO_BIT):
@@ -217,7 +214,7 @@ def test_criterion_4_closed_forms_match_oracle():
                     encoding=encoding,
                 )
                 oracle = oracle_click_profile(rel, run, ch, pp)
-                worst = max(worst, abs(closed.per_detector[0] - oracle.per_detector[1]))
+                worst = max(worst, abs(closed[0].p - oracle[1].p))
 
     # The per-run Equal/Different model every four-party optimization uses,
     # on asymmetric channels and amplitudes: each hypothesis is the
@@ -263,7 +260,7 @@ def test_criterion_4_closed_forms_match_oracle():
             ]
             for closed, d, rel in cases:
                 oracle = oracle_click_profile(rel, run, ch, pp)
-                worst = max(worst, abs(closed.per_detector[d] - oracle.per_detector[d + 1]))
+                worst = max(worst, abs(closed[d].p - oracle[d + 1].p))
 
     elapsed = time.perf_counter() - t0
     _report(
@@ -412,8 +409,8 @@ def test_criterion_7_monte_carlo_validation(desk_setup):
     pp, ch, runs = desk_setup
 
     equal, different = four_party_asymmetric(1, runs[0].alphas, ch, pp)
-    eq_means = [pp.m * p for p in equal.per_detector]
-    df_means = [pp.m * p for p in different.per_detector]
+    eq_means = [pp.m * law.p for law in equal]
+    df_means = [pp.m * law.p for law in different]
     ok = all(4.5 <= m <= 5.5 for m in eq_means) and 75.0 <= max(df_means) <= 85.0
 
     min_rate = 1.0

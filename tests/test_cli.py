@@ -59,11 +59,12 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-def test_decision_import_leaves_out_numpy_and_scipy():
-    # the referee tables are plain Python over core (and probmodel, which the
-    # package imports)
+@pytest.mark.parametrize("module", ["qfnet.decision", "qfnet.probmodel", "qfnet.core"])
+def test_decision_import_leaves_out_numpy_and_scipy(module):
+    # the referee tables and the closed forms are plain Python over core, and
+    # the package imports core alone
     out = run_fresh(
-        "-c", "import sys, qfnet.decision; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        "-c", f"import sys, {module}; print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Relationship algebra, worst-case pattern geometry, protocol parameters."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,12 @@ def test_enumeration_bounds():
         enumerate_relationships(1)
     with pytest.raises(DomainError):
         enumerate_relationships(13)
+    # n reads as an integer: numpy integers and 4.0 are 4, 4.5 and True no count
+    assert enumerate_relationships(np.int64(4)) == enumerate_relationships(4.0)
+    assert len(enumerate_relationships(np.int64(4))) == BELL[4]
+    for n in (4.5, True):
+        with pytest.raises(DomainError, match="n must be integers"):
+            enumerate_relationships(n)
 
 
 # --- labels ----------------------------------------------------------------
@@ -260,6 +267,12 @@ def test_profile_fractions_are_consistent(label, run_index, delta):
 def test_protocol_params_codeword_length():
     assert ProtocolParams(n=10, c=2.0, delta=0.2, epsilon=0.01, N=4).m == 20
     assert ProtocolParams(n=int(1e13), c=0.2, delta=0.22, epsilon=0.01, N=4).m == int(2e12)
+    # m is computed once per instance; a replaced c gets its own
+    pp = ProtocolParams(n=500_000, c=0.2, delta=0.22, epsilon=0.01, N=4)
+    assert pp.m == 100_000
+    assert dataclasses.replace(pp, c=5.0).m == 2_500_000
+    assert pp.m == 100_000
+    assert list(dataclasses.asdict(pp)) == ["n", "c", "delta", "epsilon", "N"]
 
 
 def test_protocol_params_takes_integral_n_and_N():

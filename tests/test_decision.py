@@ -300,6 +300,12 @@ def test_run_budget_table():
         run_budget(4, "EE", "MultiParty")
     with pytest.raises(DomainError, match="N must be >= 2"):
         run_budget(1, "R", "MultiParty")
+    # N reads as an integer: 4.0 and numpy integers are 4, 4.5 and True no count
+    assert run_budget(4.0, "R", "MultiParty") == 3
+    assert run_budget(np.int64(4), "R", "TwoPartyPairwise") == 6
+    for N in (4.5, True):
+        with pytest.raises(DomainError, match="N must be integers"):
+            run_budget(N, "R", "TwoPartyPairwise")
 
 
 def test_pairwise_run_counts_match_published_comparison():

@@ -139,7 +139,7 @@ def _two_party_clicks(a1, a2=None, visibility=1.0, dark_count=0.0):
     rel = Relationship.from_label("AA")
     weights, probs = region_click_matrix(rel, run, ch, pp)
     assert weights == (1.0,)
-    return probs[0], oracle_click_profile(rel, run, ch, pp).per_detector
+    return probs[0], tuple(law.p for law in oracle_click_profile(rel, run, ch, pp))
 
 
 def test_click_probability_edges():
@@ -211,9 +211,9 @@ def _four_party_setup():
 def test_oracle_profile_shape_and_range():
     pp, ch, run = _four_party_setup()
     prof = oracle_click_profile(Relationship.from_label("AABC"), run, ch, pp)
-    assert len(prof.per_detector) == 4
-    assert prof.pulses == pp.m
-    assert all(0.0 <= p <= 1.0 for p in prof.per_detector)
+    assert len(prof) == 4
+    assert all(law.pulses == pp.m for law in prof)
+    assert all(0.0 <= law.p <= 1.0 for law in prof)
 
 
 def test_oracle_all_equal_difference_ports_see_dark_only():
@@ -221,8 +221,8 @@ def test_oracle_all_equal_difference_ports_see_dark_only():
     prof = oracle_click_profile(Relationship.from_label("AAAA"), run, ch, pp)
     # with perfect visibility the difference ports click on dark counts only
     for d in (1, 2, 3):
-        assert prof.per_detector[d] == pytest.approx(ch.dark_count, rel=1e-12)
-    assert prof.per_detector[0] > ch.dark_count
+        assert prof[d].p == pytest.approx(ch.dark_count, rel=1e-12)
+    assert prof[0].p > ch.dark_count
 
 
 def test_oracle_size_mismatch_rejected():

@@ -21,7 +21,7 @@ from qfnet.complexity import q_total
 from qfnet import optimizer
 from qfnet.optimizer import OptimizationProblem, evaluate_fixed, optimize
 from qfnet.probmodel import four_party_asymmetric, two_party_asymmetric
-from qfnet.stats import CountModel, best_threshold
+from qfnet.stats import best_threshold
 
 
 def small_sym4(epsilon=1e-6):
@@ -294,12 +294,7 @@ def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evalu
 
 def _worst_best_error(equal, different):
     # Worst detector error at each detector's best threshold, and those thresholds.
-    choices = [
-        best_threshold(
-            CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
-        )
-        for p_eq, p_df in zip(equal.per_detector, different.per_detector)
-    ]
+    choices = [best_threshold(eq, df) for eq, df in zip(equal, different)]
     return max(c.p_e for c in choices), tuple(c.threshold for c in choices)
 
 

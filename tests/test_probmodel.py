@@ -9,11 +9,11 @@ check the asymmetric four-party route degenerates to the symmetric one, and
 pin every profile of a small seeded grid bit for bit.
 """
 
+import collections
 import hashlib
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,7 +30,6 @@ from qfnet.core import (
 )
 from qfnet.optics import oracle_click_profile
 from qfnet.probmodel import (
-    ClickProfile,
     four_party_asymmetric,
     four_party_symmetric,
     two_party_asymmetric,
@@ -56,13 +55,13 @@ def test_equal_diff_closed_forms():
     d = pp.delta
     eq, df = four_party_asymmetric(1, (math.sqrt(mu),) * 4, ch, pp)
     # perfect visibility: equal-condition difference ports see dark only
-    for p in eq.per_detector:
-        assert p == pytest.approx(ch.dark_count, rel=1e-12)
+    for law in eq:
+        assert law.p == pytest.approx(ch.dark_count, rel=1e-12)
     want_d2 = d * p_click(2 * e1) + ch.dark_count
     want_d3 = d * p_click(e1) + ch.dark_count
-    assert df.per_detector[0] == pytest.approx(want_d2, rel=1e-12)
-    assert df.per_detector[1] == pytest.approx(want_d3, rel=1e-12)
-    assert df.per_detector[2] == pytest.approx(want_d2, rel=1e-12)
+    assert df[0].p == pytest.approx(want_d2, rel=1e-12)
+    assert df[1].p == pytest.approx(want_d3, rel=1e-12)
+    assert df[2].p == pytest.approx(want_d2, rel=1e-12)
 
 
 def test_equal_diff_with_reduced_visibility():
@@ -72,14 +71,14 @@ def test_equal_diff_with_reduced_visibility():
     e1 = 0.3 * mu / pp.m
     eq, df = four_party_asymmetric(1, (math.sqrt(mu),) * 4, ch, pp)
     # equal condition: the bright complement leaks through with weight 1 - nu
-    assert eq.per_detector[0] == pytest.approx(
+    assert eq[0].p == pytest.approx(
         (1 - nu) * p_click(2 * e1) + ch.dark_count, rel=1e-12
     )
-    assert eq.per_detector[1] == pytest.approx(
+    assert eq[1].p == pytest.approx(
         (1 - nu) * p_click(4 * e1) + ch.dark_count, rel=1e-12
     )
     want_d2 = d * nu * p_click(2 * e1) + (1 - d) * (1 - nu) * p_click(2 * e1) + ch.dark_count
-    assert df.per_detector[0] == pytest.approx(want_d2, rel=1e-12)
+    assert df[0].p == pytest.approx(want_d2, rel=1e-12)
 
 
 def test_symmetric_profile_aabb():
@@ -88,14 +87,14 @@ def test_symmetric_profile_aabb():
     mu, d = 30.0, pp.delta
     e1 = 0.5 * mu / pp.m
     prof = four_party_symmetric(Relationship.from_label("AABB"), mu, ch, pp)
-    assert prof.per_detector[0] == pytest.approx(
+    assert prof[0].p == pytest.approx(
         (1 - d) * p_click(4 * e1) + ch.dark_count, rel=1e-12
     )
-    assert prof.per_detector[1] == pytest.approx(ch.dark_count, rel=1e-12)
-    assert prof.per_detector[2] == pytest.approx(
+    assert prof[1].p == pytest.approx(ch.dark_count, rel=1e-12)
+    assert prof[2].p == pytest.approx(
         d * p_click(4 * e1) + ch.dark_count, rel=1e-12
     )
-    assert prof.per_detector[3] == pytest.approx(ch.dark_count, rel=1e-12)
+    assert prof[3].p == pytest.approx(ch.dark_count, rel=1e-12)
 
 
 def test_symmetric_profile_aabc():
@@ -104,14 +103,14 @@ def test_symmetric_profile_aabc():
     mu, d = 30.0, pp.delta
     e1 = 0.5 * mu / pp.m
     prof = four_party_symmetric(Relationship.from_label("AABC"), mu, ch, pp)
-    assert prof.per_detector[0] == pytest.approx(
+    assert prof[0].p == pytest.approx(
         (1 - 1.5 * d) * p_click(4 * e1) + d * p_click(e1), rel=1e-12
     )
-    assert prof.per_detector[1] == pytest.approx(0.0, abs=1e-15)
-    assert prof.per_detector[2] == pytest.approx(
+    assert prof[1].p == pytest.approx(0.0, abs=1e-15)
+    assert prof[2].p == pytest.approx(
         d * p_click(e1) + 0.5 * d * p_click(4 * e1), rel=1e-12
     )
-    assert prof.per_detector[3] == pytest.approx(d * p_click(2 * e1), rel=1e-12)
+    assert prof[3].p == pytest.approx(d * p_click(2 * e1), rel=1e-12)
 
 
 def test_symmetric_profile_swaps_with_pairing():
@@ -121,8 +120,8 @@ def test_symmetric_profile_swaps_with_pairing():
     # swapping senders 2,3 turns the pair split into per-pair mismatches
     prof = four_party_symmetric(rel, 30.0, ch, pp, pairing=run_pairing(2))
     e1 = 0.5 * 30.0 / pp.m
-    assert prof.per_detector[1] == pytest.approx(pp.delta * p_click(2 * e1), rel=1e-12)
-    assert prof.per_detector[3] == pytest.approx(pp.delta * p_click(2 * e1), rel=1e-12)
+    assert prof[1].p == pytest.approx(pp.delta * p_click(2 * e1), rel=1e-12)
+    assert prof[3].p == pytest.approx(pp.delta * p_click(2 * e1), rel=1e-12)
 
 
 def test_symmetric_profile_rejects_unequal_channels():
@@ -145,17 +144,17 @@ def test_two_party_single_bit_formulas():
     i_diff, i_sum = (b1 - b2) ** 2 / (2 * m), (b1 + b2) ** 2 / (2 * m)
     ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-8)
     eq, df = two_party_asymmetric(alphas, ch, pp)
-    assert eq.pulses == m
-    assert eq.per_detector[0] == pytest.approx(p_click(i_diff) + ch.dark_count, rel=1e-12)
+    assert eq[0].pulses == m
+    assert eq[0].p == pytest.approx(p_click(i_diff) + ch.dark_count, rel=1e-12)
     want_df = d * p_click(i_sum) + (1 - d) * p_click(i_diff) + ch.dark_count
-    assert df.per_detector[0] == pytest.approx(want_df, rel=1e-12)
+    assert df[0].p == pytest.approx(want_df, rel=1e-12)
     # visibility 0: all light leaves by the complement, so the direct and
     # complement intensities trade places
     ch = ChannelModel.from_sqrt_eta((0.3, 0.4), dark_count=1e-8, visibility=0.0)
     eq, df = two_party_asymmetric(alphas, ch, pp)
-    assert eq.per_detector[0] == pytest.approx(p_click(i_sum) + ch.dark_count, rel=1e-12)
+    assert eq[0].p == pytest.approx(p_click(i_sum) + ch.dark_count, rel=1e-12)
     want_df = d * p_click(i_diff) + (1 - d) * p_click(i_sum) + ch.dark_count
-    assert df.per_detector[0] == pytest.approx(want_df, rel=1e-12)
+    assert df[0].p == pytest.approx(want_df, rel=1e-12)
 
 
 def test_two_party_two_bit_formulas():
@@ -164,8 +163,8 @@ def test_two_party_two_bit_formulas():
     b1, b2 = 0.3 * 69.0, 0.4 * 70.0
     m, d = pp.m, pp.delta
     eq, df = two_party_asymmetric((69.0, 70.0), ch, pp, encoding=Encoding.TWO_BIT)
-    assert eq.pulses == m // 2
-    assert eq.per_detector[0] == pytest.approx(
+    assert eq[0].pulses == m // 2
+    assert eq[0].p == pytest.approx(
         p_click((b1 - b2) ** 2 / m) + ch.dark_count, rel=1e-12
     )
     want_df = (
@@ -174,7 +173,7 @@ def test_two_party_two_bit_formulas():
         + d**2 * p_click((b1 + b2) ** 2 / m)
         + ch.dark_count
     )
-    assert df.per_detector[0] == pytest.approx(want_df, rel=1e-12)
+    assert df[0].p == pytest.approx(want_df, rel=1e-12)
 
 
 def test_two_party_needs_two_senders():
@@ -203,11 +202,11 @@ def test_asymmetric_degenerates_to_symmetric():
         pairing = run_pairing(run_index)
         eq, df = four_party_asymmetric(run_index, (math.sqrt(mu),) * 4, ch, pp)
         aaaa = four_party_symmetric(Relationship.from_label("AAAA"), mu, ch, pp, pairing)
-        for got, want in zip(eq.per_detector, aaaa.per_detector[1:]):
-            assert got == pytest.approx(want, rel=1e-13)
+        for got, want in zip(eq, aaaa[1:]):
+            assert got.p == pytest.approx(want.p, rel=1e-13)
         for d, split in ((0, pairing[1]), (1, pairing[0]), (1, pairing[2]), (2, pairing[3])):
             want = four_party_symmetric(split_off(split), mu, ch, pp, pairing)
-            assert df.per_detector[d] == pytest.approx(want.per_detector[d + 1], rel=1e-13)
+            assert df[d].p == pytest.approx(want[d + 1].p, rel=1e-13)
 
 
 def test_asymmetric_closed_form_detector2():
@@ -217,16 +216,16 @@ def test_asymmetric_closed_form_detector2():
     b = [s * a for s, a in zip(ch.sqrt_eta, alphas)]
     m, d = pp.m, pp.delta
     eq, df = four_party_asymmetric(1, alphas, ch, pp)
-    assert eq.per_detector[0] == pytest.approx(
+    assert eq[0].p == pytest.approx(
         p_click((b[0] - b[1]) ** 2 / (2 * m)) + ch.dark_count, rel=1e-12
     )
-    assert df.per_detector[0] == pytest.approx(
+    assert df[0].p == pytest.approx(
         d * p_click((b[0] + b[1]) ** 2 / (2 * m))
         + (1 - d) * p_click((b[0] - b[1]) ** 2 / (2 * m))
         + ch.dark_count,
         rel=1e-12,
     )
-    assert df.per_detector[2] == pytest.approx(
+    assert df[2].p == pytest.approx(
         d * p_click((b[2] + b[3]) ** 2 / (2 * m))
         + (1 - d) * p_click((b[2] - b[3]) ** 2 / (2 * m))
         + ch.dark_count,
@@ -250,7 +249,7 @@ def test_asymmetric_detector3_uses_the_adversarial_flip(alphas):
     base = (bi + bj - bk - bl) ** 2 / (4 * pp.m)
     want = pp.delta * p_click(x**2 / (4 * pp.m)) + (1 - pp.delta) * p_click(base)
     _, df = four_party_asymmetric(1, alphas, ch, pp)
-    assert df.per_detector[1] == pytest.approx(want, rel=1e-11, abs=1e-18)
+    assert df[1].p == pytest.approx(want, rel=1e-11, abs=1e-18)
 
 
 @given(
@@ -267,9 +266,9 @@ def test_asymmetric_detector3_is_the_worst_single_flip(run_index, eta, alphas, d
     run = RunConfig(alphas=tuple(alphas), pairing=run_pairing(run_index), thresholds=(1, 1, 1))
     _, df = four_party_asymmetric(run_index, alphas, ch, pp)
     worst = min(
-        oracle_click_profile(split_off(s), run, ch, pp).per_detector[2] for s in range(1, 5)
+        oracle_click_profile(split_off(s), run, ch, pp)[2].p for s in range(1, 5)
     )
-    assert df.per_detector[1] == pytest.approx(worst, rel=0.0, abs=1e-15)
+    assert df[1].p == pytest.approx(worst, rel=0.0, abs=1e-15)
 
 
 def test_asymmetric_validates_amplitudes_and_run_index():
@@ -284,38 +283,21 @@ def test_asymmetric_validates_amplitudes_and_run_index():
         four_party_asymmetric(1, (1.0,) * 4, ChannelModel(eta=(0.5,) * 2), pp)
 
 
-# --- profile container -------------------------------------------------------
-
-
-def test_click_profile_validation():
-    ClickProfile(per_detector=(0.1, 0.2), pulses=10)
-    with pytest.raises(DomainError):
-        ClickProfile(per_detector=(1.2,), pulses=10)
-    with pytest.raises(DomainError):
-        ClickProfile(per_detector=(-0.1,), pulses=10)
-    with pytest.raises(DomainError):
-        ClickProfile(per_detector=(0.1,), pulses=0)
-    with pytest.raises(DomainError):
-        ClickProfile(per_detector=(), pulses=10)
-
-
-def test_click_profile_takes_integral_pulses():
-    # CountModel's rule: 100.0 and numpy integers read as 100; 100.5 and
-    # True are no pulse count
-    for pulses in (100, 100.0, np.int64(100)):
-        profile = ClickProfile(per_detector=(0.1,), pulses=pulses)
-        assert type(profile.pulses) is int and profile.pulses == 100
-    for pulses in (100.5, True, "100", None):
-        with pytest.raises(DomainError, match="pulses must be integers"):
-            ClickProfile(per_detector=(0.1,), pulses=pulses)
-
-
 # --- pinned closed forms -----------------------------------------------------
 
 # sha256 of the repr of every profile _pinned_profiles() builds.  A rewrite of
 # the closed forms that changes any probability by one ulp changes the digest,
 # so a refactor of probmodel must leave it alone.
 _PINNED_PROFILES = "c903776c000f1d1855e04ff389c6a443c0b81775a00b49e581a0fe149fa054b6"
+
+# The digest was pinned when a model returned one ClickProfile(per_detector,
+# pulses) per hypothesis; each tuple of count laws is hashed in that repr.
+_Pinned = collections.namedtuple("ClickProfile", "per_detector pulses")
+
+
+def _pinned(laws):
+    (pulses,) = {law.pulses for law in laws}
+    return _Pinned(tuple(law.p for law in laws), pulses)
 
 
 def _pinned_profiles():
@@ -329,15 +311,18 @@ def _pinned_profiles():
                 alphas = tuple(rng.uniform(1.0, 60.0) for _ in range(4))
                 ch4 = ChannelModel(eta, dark, nu)
                 for run_index in (1, 2, 3):
-                    out.append(four_party_asymmetric(run_index, alphas, ch4, pp4))
+                    pair = four_party_asymmetric(run_index, alphas, ch4, pp4)
+                    out.append(tuple(map(_pinned, pair)))
                 ch2 = ChannelModel(eta[:2], dark, nu)
                 for encoding in Encoding:
-                    out.append(two_party_asymmetric(alphas[:2], ch2, pp2, encoding))
+                    pair = two_party_asymmetric(alphas[:2], ch2, pp2, encoding)
+                    out.append(tuple(map(_pinned, pair)))
                 sym = ChannelModel((eta[0],) * 4, dark, nu)
                 mu = rng.uniform(1.0, 3000.0)
                 for rel in enumerate_relationships(4):
                     for run_index in (1, 2, 3):
-                        out.append(four_party_symmetric(rel, mu, sym, pp4, run_pairing(run_index)))
+                        laws = four_party_symmetric(rel, mu, sym, pp4, run_pairing(run_index))
+                        out.append(_pinned(laws))
     return out
 
 

@@ -23,12 +23,11 @@ from scipy.special import betaincc as ufunc_betaincc
 
 from qfnet import stats
 from qfnet.benchmarks import BENCHMARKS
-from qfnet.core import DomainError
+from qfnet.core import CountModel, DomainError
 from qfnet.montecarlo import _binomial_pmf
 from qfnet.optimizer import OptimizationProblem, _run_profiles, optimize
-from qfnet.probmodel import ClickProfile, four_party_asymmetric, two_party_asymmetric
+from qfnet.probmodel import four_party_asymmetric, two_party_asymmetric
 from qfnet.stats import (
-    CountModel,
     best_threshold,
     error_probability,
     tail_above,
@@ -208,8 +207,7 @@ def test_tails_at_optimized_bundled_thresholds_match_recurrence_law():
         )
         for run_index, rc in enumerate(optimize(problem).per_run, start=1):
             equal, different = _run_profiles(problem, run_index, rc.alphas)
-            for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, rc.thresholds):
-                eq, df = CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
+            for eq, df, t in zip(equal, different, rc.thresholds):
                 lo_eq, pmf_eq = _binomial_pmf(eq.pulses, eq.p)
                 lo_df, pmf_df = _binomial_pmf(df.pulses, df.p)
                 for got, mass in (
@@ -267,8 +265,8 @@ def test_tails_equal_the_scipy_special_ufuncs_bit_for_bit():
         )
         for run_index, rc in enumerate(optimize(problem).per_run, start=1):
             equal, different = _run_profiles(problem, run_index, rc.alphas)
-            for p_eq, p_df, t in zip(equal.per_detector, different.per_detector, rc.thresholds):
-                for model in (CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)):
+            for eq, df, t in zip(equal, different, rc.thresholds):
+                for model in (eq, df):
                     assert_tails_are_the_ufuncs(model, (t - 1, t, t + 1))
                 crossings += 1
     assert crossings == 21
@@ -310,6 +308,9 @@ def test_count_model_takes_integral_pulses():
     model = CountModel(10.0, 0.3)
     assert type(model.pulses) is int and model == CountModel(10, 0.3)
     assert tail_above(model, 3) == tail_above(CountModel(10, 0.3), 3)
+    for pulses in (100, 100.0, np.int64(100)):
+        model = CountModel(pulses, 0.1)
+        assert type(model.pulses) is int and model.pulses == 100
     for pulses in (10.5, "10", None, True):
         with pytest.raises(DomainError, match="pulses must be integers"):
             CountModel(pulses, 0.3)
@@ -320,6 +321,8 @@ def test_count_model_validation():
         CountModel(0, 0.5)
     with pytest.raises(DomainError):
         CountModel(10, 1.5)
+    with pytest.raises(DomainError):
+        CountModel(10, -0.1)
     with pytest.raises(DomainError):
         tail_above(CountModel(10, 0.5), 11)
     with pytest.raises(DomainError):
@@ -625,11 +628,10 @@ def test_published_thresholds_under_code_rate_convention():
                 equal, different = two_party_asymmetric(rc.alphas, bench.ch, pp, bench.encoding)
             else:
                 equal, different = four_party_asymmetric(run_index, rc.alphas, bench.ch, pp)
-            assert 7_500_000_000_000 <= equal.pulses <= 5 * 10**14
-            for detector, (p_eq, p_df, published) in enumerate(
-                zip(equal.per_detector, different.per_detector, rc.thresholds), start=2
+            for detector, (eq, df, published) in enumerate(
+                zip(equal, different, rc.thresholds), start=2
             ):
-                eq, df = CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
+                assert 7_500_000_000_000 <= eq.pulses <= 5 * 10**14
                 t = best_threshold(eq, df).threshold
                 window = range(t - 2, t + 3)
                 paper = min(window, key=lambda u: max(tail_above(eq, u), tail_below(df, u)))
@@ -670,10 +672,8 @@ def test_t_asym4_detector_3_errs_at_the_published_amplitudes():
     for run_index, rc in enumerate(bench.runs, start=1):
         equal, different = four_party_asymmetric(run_index, rc.alphas, bench.ch, pp)
         errors = []
-        for p_eq, p_df in zip(equal.per_detector, different.per_detector):
-            choice = best_threshold(
-                CountModel(equal.pulses, p_eq), CountModel(different.pulses, p_df)
-            )
+        for eq, df in zip(equal, different):
+            choice = best_threshold(eq, df)
             errors.append(float(f"{choice.p_e:.3g}"))  # three significant figures
         assert errors[0] <= 1.01e-5 and errors[2] <= 1.01e-5
         detector_3.append(errors[1])
@@ -683,34 +683,30 @@ def test_t_asym4_detector_3_errs_at_the_published_amplitudes():
 # --- protocol error over runs ------------------------------------------------
 
 
-def profile(p, pulses=1000):
-    return ClickProfile(per_detector=tuple(p), pulses=pulses)
+def laws(p, pulses=1000):
+    return tuple(CountModel(pulses, x) for x in p)
 
 
 def test_error_probability_is_worst_tail_over_runs():
     # Run 2's first detector binds on its Equal side, where the atom C = t
     # decides: P_equal(C >= 21) = 1.4965e-3 against P_equal(C > 21) = 6.52e-4.
     pairs = [
-        (profile([0.0, 0.001]), profile([0.02, 0.05])),
-        (profile([0.01, 0.002]), profile([0.05, 0.04])),
+        (laws([0.0, 0.001]), laws([0.02, 0.05])),
+        (laws([0.01, 0.002]), laws([0.05, 0.04])),
     ]
     ths = [(5, 10), (21, 12)]
     got = error_probability(pairs, ths)
     worst = 0.0
-    for (eq, df), run_ths in zip(pairs, ths):
-        for p_eq, p_df, t in zip(eq.per_detector, df.per_detector, run_ths):
-            worst = max(
-                worst,
-                tail_above(CountModel(1000, p_eq), t - 1),
-                tail_below(CountModel(1000, p_df), t),
-            )
+    for (equal, different), run_ths in zip(pairs, ths):
+        for eq, df, t in zip(equal, different, run_ths):
+            worst = max(worst, tail_above(eq, t - 1), tail_below(df, t))
     assert got == worst
     assert got == pytest.approx(1.4965e-3, rel=1e-4)
     assert got > tail_above(CountModel(1000, 0.01), 21)
 
 
 def test_error_probability_reads_integral_thresholds():
-    eq, df = profile([0.01]), profile([0.05])
+    eq, df = laws([0.01]), laws([0.05])
     want = error_probability([(eq, df)], [(21,)])
     assert want == pytest.approx(1.4965e-3, rel=1e-4)
     assert error_probability([(eq, df)], [(21.0,)]) == want
@@ -720,19 +716,19 @@ def test_error_probability_reads_integral_thresholds():
 
 
 def test_error_probability_perfect_separation():
-    eq = profile([0.0])
-    df = profile([1.0])
+    eq = laws([0.0])
+    df = laws([1.0])
     assert error_probability([(eq, df)], [(500,)]) == 0.0
 
 
 def test_error_probability_identical_profiles_reported_honestly():
-    same = profile([0.5])
+    same = laws([0.5])
     got = error_probability([(same, same)], [(500,)])
     assert got > 0.4  # both tails straddle the shared mean
 
 
 def test_error_probability_validation():
-    eq, df = profile([0.1]), profile([0.2])
+    eq, df = laws([0.1]), laws([0.2])
     with pytest.raises(DomainError):
         error_probability([], [])
     with pytest.raises(DomainError):
@@ -740,4 +736,6 @@ def test_error_probability_validation():
     with pytest.raises(DomainError):
         error_probability([(eq, df)], [(1, 2)])
     with pytest.raises(DomainError):
-        error_probability([(eq, profile([0.2], pulses=999))], [(1,)])
+        error_probability([(eq, laws([0.2], pulses=999))], [(1,)])
+    with pytest.raises(DomainError, match="no detectors"):
+        error_probability([((), ())], [()])
