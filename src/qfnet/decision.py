@@ -214,6 +214,8 @@ def resolve_schedule(n: int, outcomes: Sequence[Bits]) -> tuple[DecisionOutcome 
     that ends on a proper prefix of a signature, still needing runs, also
     returns (None, its length).
     """
+    if n not in _DECISIONS:
+        raise DomainError(f"decision tables are defined for 2, 3 or 4 senders, got {n!r}")
     table = _DECISIONS[n]
     width = len(next(iter(table))[0])  # bits per run
     seq: tuple[str, ...] = ()

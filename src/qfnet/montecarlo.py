@@ -14,15 +14,14 @@ compares means, which agree; test_simulate_count_variances_track_the_law
 checks the region sum.  That excess is at most max_r p_r / (1 - p) of the
 variance, so at the bundled rows' click probabilities the two coincide.
 
-A campaign runs _CHUNK_TRIALS trials at a time and one run at a time: a
-trial draws a run only if decision.resolve_schedule finds its earlier runs
-neither resolved nor inconsistent.  Its outcome bits, 0 for the runs it
-does not draw, become one integer code (at most 2**9) in a fixed-size tally:
-per code, its trials and the float64 sums of counts and squared counts per
-(run, detector), so memory does not grow with trials.  Each code that
-occurred resolves once against the truth.  The sums are exact below 2**53,
-so reports equal those of a draw of every run; beyond, a mean or variance
-may move in its last bits.
+A campaign runs _CHUNK_TRIALS trials at a time and one run at a time.  A
+table built once from decision.resolve_schedule maps every outcome prefix
+the schedule can reach (48 for four senders) to the next run or the
+trial's grade, so a trial draws exactly the runs the referee reads and is
+graded when it stops.  Per run the tally keeps its trials and the float64
+sums of their counts and squared counts per detector: memory does not grow
+with trials.  The sums are exact below 2**53, so the summing order does not
+matter; beyond, a mean or variance may move in its last bits.
 
 Trial t has its own counter-based Philox4x64-10 stream keyed (seed, t + 1),
 so any subset of trials can be reproduced.  Its count (r, d) inverts the
@@ -114,7 +113,7 @@ class TrialSpec:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Aggregated campaign results, every field read from the outcome-code tally.
+    """Aggregated campaign results, every field read from the per-run tally.
 
     per_detector_count_stats holds one entry per scheduled run with the
     number of trials that executed it, the empirical count mean/variance per
@@ -250,50 +249,47 @@ def simulate(spec: TrialSpec) -> TrialReport:
     n_runs, n = click.shape[0], spec.pp.N
     observed = observed_detectors(n)  # the contiguous difference ports
     thresholds = np.array([run.thresholds for run in spec.runs])
-    # bit j of a trial's outcome code is bit j of its flattened (runs, observed) bits
-    place = (1 << np.arange(n_runs * len(observed), dtype=np.int64)).reshape(n_runs, -1)
-    # per code: trials, and float64 sums of counts and squared counts per (run, detector)
-    hits = np.zeros(1 << place.size, dtype=np.int64)
-    sums = np.zeros((2, len(hits), n_runs, n))
-    bits = (np.arange(len(hits))[:, None, None] & place > 0).tolist()  # per code: (runs, observed)
-    # more[r][code]: the trials whose runs 0 .. r give code draw run r + 1.  A prefix
-    # that still needs runs reads one more whatever its bits; one that stops does not.
-    zero, more = [False] * len(observed), [np.zeros(len(hits), dtype=bool)] * n_runs
-    for r in range(n_runs - 1):
-        steps = [resolve_schedule(n, [*p[: r + 1], zero])[1] for p in bits[: place[r + 1, 0]]]
-        more[r] = np.array(steps) > r + 1
+    width, place = len(observed), 1 << np.arange(len(observed))  # bit j: observed detector j
+    # step[r][prefix * 2**width + bits]: a trial whose runs 0 .. r - 1 are prefix number
+    # `prefix` and whose run r reads `bits` draws run r + 1 as the prefix the entry
+    # numbers, or stops at grade ~entry: 0 correct, 1 incorrect, 2 inconsistent.  A run
+    # not drawn yet reads as zero bits, which the referee reads only if it needs that run.
+    zero, prefixes, step = (0,) * width, [()], []
+    for r in range(n_runs):
+        entries, following = [], []
+        for prefix in prefixes:
+            for code in range(1 << width):
+                seq = (*prefix, tuple(code >> j & 1 for j in range(width)))
+                decision, used = resolve_schedule(n, seq + (zero,) * (n_runs - r - 1))
+                grade = 2 if decision is None else int(decision.relationship != spec.rel)
+                entries.append(len(following) if used > r + 1 else ~grade)
+                if used > r + 1:
+                    following.append(seq)
+        step.append(np.array(entries))
+        prefixes = following
+    graded = np.zeros(3, dtype=np.int64)
+    drew = [0] * (n_runs + 1)  # per run, the trials that drew it; none draw past the last
+    sums = np.zeros((2, n_runs, n))  # float64 sums of counts and squared counts per (run, detector)
     for lo in range(0, spec.trials, _CHUNK_TRIALS):
-        codes = np.zeros(min(_CHUNK_TRIALS, spec.trials - lo), dtype=np.int64)
-        rows, drawn = np.arange(len(codes)), []  # the chunk's trials that draw run len(drawn)
-        while len(rows):
-            r = len(drawn)
-            counts = _draw_counts(laws, spec.seed, lo + rows, r)
-            codes[rows] += (counts[:, observed[0] : observed[-1] + 1] >= thresholds[r]) @ place[r]
-            drawn.append((rows, counts))
-            rows = rows[more[r][codes[rows]]]
-        hits += np.bincount(codes, minlength=len(hits))
-        # run r's counts go to the cells (code, detector) of run r, one run at a time
-        for r, (rows, counts) in enumerate(drawn):
-            cell = (codes[rows, None] * n + np.arange(n)).ravel()
-            values = counts.ravel().astype(np.float64)
-            sums[0, :, r] += np.bincount(cell, values, len(hits) * n).reshape(-1, n)
-            sums[1, :, r] += np.bincount(cell, values * values, len(hits) * n).reshape(-1, n)
-
-    # each outcome code that occurred resolves once; 0 correct, 1 incorrect, 2 inconsistent
-    present = np.flatnonzero(hits)
-    verdicts = [resolve_schedule(n, bits[c]) for c in present]
-    used = np.array([k for _, k in verdicts])
-    grade = [2 if d is None else int(d.relationship != spec.rel) for d, _ in verdicts]
-    found = hits[present]
-    n_correct, n_incorrect, n_inconsistent = map(int, np.bincount(grade, found, minlength=3))
+        rows = np.arange(lo, min(lo + _CHUNK_TRIALS, spec.trials))  # the trials that draw run r
+        prefix = np.zeros(len(rows), dtype=np.int64)
+        for r in range(n_runs):
+            counts = _draw_counts(laws, spec.seed, rows, r).astype(np.float64)
+            drew[r] += len(rows)
+            sums[:, r] += counts.sum(axis=0), (counts * counts).sum(axis=0)
+            bits = (counts[:, observed[0] : observed[-1] + 1] >= thresholds[r]) @ place
+            entry = step[r][(prefix << width) + bits]
+            graded += np.bincount(~entry[entry < 0], minlength=3)
+            rows, prefix = rows[entry >= 0], entry[entry >= 0]
+            if not len(rows):
+                break
+    n_correct, n_incorrect, n_inconsistent = map(int, graded)
 
     stats = []
-    for run_index in range(n_runs):
-        executed = used > run_index
-        k = int(found[executed].sum())
+    for run_index, k in enumerate(drew[:n_runs]):
         mean_l, var_l = [], []
         if k:
-            total, square_sum = sums[:, present[executed], run_index].sum(axis=1)
+            total, square_sum = sums[:, run_index]
             mean = total / k
             var = square_sum / k - mean**2
             if k > 1:  # unbiased sample variance
@@ -315,7 +311,7 @@ def simulate(spec: TrialSpec) -> TrialReport:
         empirical_incorrect_rate=n_incorrect / spec.trials,
         empirical_inconsistent_rate=n_inconsistent / spec.trials,
         wilson_95=wilson_interval(n_correct, spec.trials),
-        mean_runs_used=int(found @ used) / spec.trials,
-        runs_histogram={k: int(c) for k, c in enumerate(np.bincount(used, found)) if c},
+        mean_runs_used=sum(drew) / spec.trials,
+        runs_histogram={r: a - b for r, (a, b) in enumerate(zip(drew, drew[1:]), 1) if a > b},
         per_detector_count_stats=tuple(stats),
     )

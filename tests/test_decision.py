@@ -213,6 +213,9 @@ def test_resolve_validates_bit_strings():
     step = resolve_f_r([])
     assert isinstance(step, NeedMoreRuns)
     assert step.next_pairing == run_pairing(1)
+    # a sender count with no table is a domain error, not a missing key
+    with pytest.raises(DomainError, match="2, 3 or 4 senders"):
+        resolve_schedule(5, [])
 
 
 def test_relationship_by_f_r_is_total():

@@ -550,11 +550,11 @@ def test_simulate_count_variances_track_the_law(desk_setup, label, channel):
     assert checked >= 8
 
 
-# --- outcome-code tally -------------------------------------------------------
+# --- per-run tally -----------------------------------------------------------
 #
-# simulate tallies each chunk of trials by outcome code as it is drawn and
-# keeps no per-trial array, so its result is the campaign reduced trial by
-# trial, and its memory does not grow with trials.
+# simulate grades each trial when it stops drawing and adds each drawn run's
+# counts to per-run sums, keeping no per-trial array, so its result is the
+# campaign reduced trial by trial, and its memory does not grow with trials.
 
 
 def _per_trial_reduction(spec):
@@ -637,6 +637,31 @@ def test_simulate_draws_only_the_runs_the_referee_reads(desk_setup, label, chann
     assert rows[0] == trials
     if label == "ABBA":
         assert report.empirical_inconsistent_rate > 0 and 0 < rows[2] < rows[1]
+
+
+@pytest.mark.parametrize(
+    "label, trials, calls",
+    [("AAAA", 300, 48), ("ABCD", _CHUNK_TRIALS + 300, 48), ("AA", 300, 2), ("AB", 700, 2)],
+)
+def test_simulate_resolves_each_reachable_prefix_once(
+    desk_setup, label, trials, calls, monkeypatch
+):
+    # four senders reach 8 one-run prefixes, 4 * 8 two-run and 1 * 8 three-run
+    # ones; two senders 2.  One referee call each, whatever the trials do.
+    if len(label) == 2:
+        spec = two_party_spec(label, Encoding.SINGLE_BIT, trials=trials)
+    else:
+        spec = desk_spec(label, desk_setup, trials=trials)
+    made = [0]
+    resolve = montecarlo.resolve_schedule
+
+    def counted(n, outcomes):
+        made[0] += 1
+        return resolve(n, outcomes)
+
+    monkeypatch.setattr(montecarlo, "resolve_schedule", counted)
+    simulate(spec)
+    assert made[0] == calls
 
 
 def test_simulate_memory_does_not_grow_with_trials(desk_setup):
