@@ -179,6 +179,11 @@ def _as_bits(outcome: Bits, width: int) -> str:
     return bits
 
 
+def _next_run(n: int, done: int) -> NeedMoreRuns:
+    # three senders run once on the four-port device, sender 1 also at port 4
+    return NeedMoreRuns((1, 2, 3, 1) if n == 3 else run_pairing(done + 1, n))
+
+
 def _resolve(n: int, outcomes: Sequence[Bits]) -> DecisionOutcome | NeedMoreRuns:
     table = _DECISIONS[n]
     width = len(next(iter(table))[0])  # bits per run
@@ -186,7 +191,7 @@ def _resolve(n: int, outcomes: Sequence[Bits]) -> DecisionOutcome | NeedMoreRuns
     if seq in table:
         return table[seq]
     if seq in _PREFIXES[n]:
-        return NeedMoreRuns(run_pairing(len(seq) + 1, n))
+        return _next_run(n, len(seq))
     raise InconsistentOutcome(seq)
 
 
@@ -205,14 +210,16 @@ def resolve_three_party(outcome: Bits) -> DecisionOutcome:
     return _resolve(3, [outcome])
 
 
-def resolve_schedule(n: int, outcomes: Sequence[Bits]) -> tuple[DecisionOutcome | None, int]:
-    """The referee's verdict on the outcomes of every scheduled run.
+def resolve_schedule(
+    n: int, outcomes: Sequence[Bits]
+) -> tuple[DecisionOutcome | NeedMoreRuns | None, int]:
+    """The referee's verdict on the outcomes of the runs executed so far.
 
     Runs are read in schedule order up to the shortest prefix that resolves;
     returns its decision and length.  A prefix that neither resolves nor
     leads to a signature is inconsistent: (None, its length).  A sequence
-    that ends on a proper prefix of a signature, still needing runs, also
-    returns (None, its length).
+    that ends on a proper prefix of a signature returns
+    (NeedMoreRuns(next_pairing), its length).
     """
     if n not in _DECISIONS:
         raise DomainError(f"decision tables are defined for 2, 3 or 4 senders, got {n!r}")
@@ -225,7 +232,7 @@ def resolve_schedule(n: int, outcomes: Sequence[Bits]) -> tuple[DecisionOutcome 
             return table[seq], len(seq)
         if seq not in _PREFIXES[n]:
             return None, len(seq)
-    return None, len(seq)
+    return _next_run(n, len(seq)), len(seq)
 
 
 def resolve_f_ae(
@@ -293,7 +300,7 @@ def forward_signature(rel: Relationship) -> tuple[str, ...]:
         raise DomainError(f"forward signatures defined for 4 senders, got {rel.n}")
     outcomes = [forward_bits(rel, run_pairing(i, 4)) for i in (1, 2, 3)]
     resolved, runs_used = resolve_schedule(4, outcomes)
-    if resolved is None or resolved.relationship != rel:
+    if not isinstance(resolved, DecisionOutcome) or resolved.relationship != rel:
         raise AssertionError(
             f"table/forward mismatch: {rel.canonical_label} resolved as {resolved}"
         )

@@ -6,13 +6,14 @@ apportionment of their weights, so pairwise distances are exact to one pulse
 rather than binomially noisy — the distance guarantee an error-correcting
 code provides.  A detector's count in one run is a sum of independent
 binomials over the regions, from the kernel's click probabilities plus dark
-counts; its exact law is built once per campaign and inverted at one
-uniform per count.  optimizer.evaluate_fixed reads that count as one
-Binomial(pulses, p), p the region-weighted click probability: the mean is
-the same, the variance larger by sum_r pulses_r * (p_r - p)**2.  Criterion 7
-compares means, which agree; test_simulate_count_variances_track_the_law
-checks the region sum.  That excess is at most max_r p_r / (1 - p) of the
-variance, so at the bundled rows' click probabilities the two coincide.
+counts; its exact law is built once per campaign, when a trial first
+draws its run, and inverted at one uniform per count.
+optimizer.evaluate_fixed reads that count as one Binomial(pulses, p), p the
+region-weighted click probability: the mean is the same, the variance
+larger by sum_r pulses_r * (p_r - p)**2.  Criterion 7 compares means, which
+agree; test_simulate_count_variances_track_the_law checks the region sum.
+That excess is at most max_r p_r / (1 - p) of the variance, so at the
+bundled rows' click probabilities the two coincide.
 
 A campaign runs _CHUNK_TRIALS trials at a time and one run at a time.  A
 table built once from decision.resolve_schedule maps every outcome prefix
@@ -23,10 +24,13 @@ sums of their counts and squared counts per detector: memory does not grow
 with trials.  The sums are exact below 2**53, so the summing order does not
 matter; beyond, a mean or variance may move in its last bits.
 
-Trial t has its own counter-based Philox4x64-10 stream keyed (seed, t + 1),
-so any subset of trials can be reproduced.  Its count (r, d) inverts the
-law at double r * N + d of Generator(Philox(key=np.array([seed, t + 1],
-dtype=np.uint64))).random(runs * N); for N = 4, run r is Philox block r + 1.
+The uniforms come from numpy's counter-based Philox4x64-10 (Salmon et al.,
+SC'11) keyed seed.  Trial t's run r reads the block of counter
+(t + 1, r, 0, 0), so any subset of trials and runs can be reproduced: its
+count for detector d inverts the law at
+Generator(Philox(key=seed, counter=[t, r, 0, 0])).random(N)[d].  Each law
+carries a guide table (Chen and Asau's indexed search), so nearly every
+inversion is one table read and one step.
 """
 
 from __future__ import annotations
@@ -49,16 +53,15 @@ from .core import (
     integers,
     observed_detectors,
 )
-from .decision import resolve_schedule
+from .decision import NeedMoreRuns, resolve_schedule
 from .optics import region_click_matrix
 
 __all__ = ["TrialSpec", "TrialReport", "simulate", "wilson_interval"]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_TRIALS = 4096  # trials drawn, coded and tallied in one numpy pass
-# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_GUIDE_BITS = 12  # a law's guide table splits the unit interval into 2**12 buckets
+_Law = tuple[int, np.ndarray, np.ndarray]  # _count_law's (offset, cdf, guide)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -168,12 +171,13 @@ def _binomial_pmf(n: int, p: float) -> tuple[int, np.ndarray]:
     return lo, pmf / pmf.sum()
 
 
-def _count_law(pulses: Sequence[int], probs: Sequence[float]) -> tuple[int, np.ndarray]:
-    """Law of sum_i Binomial(pulses[i], probs[i]) as (offset, cdf).
+def _count_law(pulses: Sequence[int], probs: Sequence[float]) -> _Law:
+    """Law of sum_i Binomial(pulses[i], probs[i]) as (offset, cdf, guide).
 
-    cdf[j] is P(count <= offset + j) and ends at exactly 1.0.  Regions with
-    the same click probability are one binomial; the parts are convolved
-    through numpy.fft.
+    cdf[j] is P(count <= offset + j) and ends at exactly 1.0; guide[j] is the
+    number of cdf values <= j / 2**12, the guide table _invert starts from.
+    Regions with the same click probability are one binomial; the parts are
+    convolved through numpy.fft.
     """
     merged: dict[float, int] = {}
     for n, p in zip(pulses, probs):
@@ -188,53 +192,45 @@ def _count_law(pulses: Sequence[int], probs: Sequence[float]) -> tuple[int, np.n
         spectrum = np.prod([np.fft.rfft(part, nfft) for _, part in parts], axis=0)
         pmf = np.clip(np.fft.irfft(spectrum, nfft)[:size], 0.0, None)
     cdf = np.cumsum(pmf)
-    return offset, cdf / cdf[-1]
+    cdf = cdf / cdf[-1]
+    # cdf <= j / 2**12 exactly when ceil(cdf * 2**12) <= j: the product is exact
+    ceilings = np.ceil(cdf * 2.0**_GUIDE_BITS).astype(np.intp)
+    return offset, cdf, np.cumsum(np.bincount(ceilings, minlength=2**_GUIDE_BITS + 1))
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of m * x, the high one from 32-bit half products."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
-    lh = m_lo * x_hi
-    mid = ((m_lo * x_lo) >> 32) + (lh & 0xFFFFFFFF) + m_hi * x_lo  # below 2**64 - 1
-    return np.uint64(m) * x, m_hi * x_hi + (lh >> 32) + (mid >> 32)
+def _invert(law: _Law, words: np.ndarray) -> np.ndarray:
+    """The law's counts at uniforms u = (w >> 11) * 2**-53 of uint64 words w.
 
-
-def _philox_words(seed: int, trials: np.ndarray, run: int, width: int) -> np.ndarray:
-    """Words run * width .. (run + 1) * width - 1 of trials' streams: (len(trials), width) uint64.
-
-    Trial t's stream is Philox4x64-10 keyed (seed, t + 1); its block b = 1,
-    2, ... encrypts the counter (b, 0, 0, 0).  That is the stream
-    np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64)) returns
-    from random_raw.  Only the blocks that hold the words are encrypted.
+    Each is offset + searchsorted(cdf, u, side="right").  Word w falls in
+    guide bucket j = w >> 52, which is floor(u * 2**12) exactly, so its count
+    lies between guide[j] and guide[j + 1].  It starts at guide[j] and takes
+    one step; the few keys that step does not place are searched.
     """
-    first, stop = run * width // 4, -(-(run + 1) * width // 4)
-    # one row for all trials until the key mixes in: a round and a half cost no per-trial work
-    x0 = np.arange(first + 1, stop + 1, dtype=np.uint64)[None, :]
-    x1 = x2 = x3 = np.zeros_like(x0)
-    k1 = np.asarray(trials, dtype=np.uint64)[:, None] + np.uint64(1)
-    for r in range(10):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
-        x2 = hi0 ^ x3 ^ (k1 + np.uint64(r * _PHILOX_W[1] % 2**64))
-        x0, x1, x3 = hi1 ^ x1 ^ k0, lo1, lo0
-    skip = run * width - 4 * first
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(trials), -1)[:, skip : skip + width]
+    offset, cdf, guide = law
+    u = (words >> 11) * 2.0**-53
+    idx = guide[words >> (64 - _GUIDE_BITS)]
+    idx += cdf[idx] <= u
+    slow = cdf[idx] <= u
+    idx[slow] = np.searchsorted(cdf, u[slow], side="right")
+    return offset + idx
 
 
 def _draw_counts(
-    laws: Sequence[Sequence[tuple[int, np.ndarray]]], seed: int, trials: np.ndarray, run: int
+    laws: Sequence[Sequence[_Law] | None], seed: int, trials: np.ndarray, run: int
 ) -> np.ndarray:
     """One run's counts for the given trials: (len(trials), N) int64.
 
-    laws[r][d] is (offset, cdf) of run r, detector d.  Trial t's count (r, d)
-    inverts that law at uniform r * N + d of the trial's stream, a double
-    (w >> 11) * 2**-53 as Generator.random makes it from word w.
+    laws[r][d] is the law of run r, detector d.  Trial t's count (r, d)
+    inverts it at word d of the block numpy's Philox keyed seed encrypts
+    first from counter (t, r, 0, 0): the counter steps first, so that block
+    is (t + 1, r, 0, 0).  One random_raw call reads every block from the
+    smallest trial to the largest.
     """
-    uniforms = (_philox_words(seed, trials, run, len(laws[run])).T >> 11) * 2.0**-53
-    counts = [o + np.searchsorted(cdf, u, side="right") for (o, cdf), u in zip(laws[run], uniforms)]
-    return np.stack(counts, axis=-1)
+    first = int(trials.min())
+    span = int(trials.max()) - first + 1
+    raw = np.random.Philox(key=seed, counter=[first, run, 0, 0]).random_raw(4 * span)
+    words = raw.reshape(span, 4).T[: len(laws[run]), trials - first]
+    return np.stack([_invert(law, w) for law, w in zip(laws[run], words)], axis=-1)
 
 
 def simulate(spec: TrialSpec) -> TrialReport:
@@ -244,7 +240,7 @@ def simulate(spec: TrialSpec) -> TrialReport:
     click = np.clip(np.stack([probs for _, probs in kernels]) + spec.ch.dark_count, 0.0, 1.0)
     pulses = _apportion(weights, spec.runs[0].encoding.pulses(spec.pp.m))
     analytic_means = np.array(pulses, dtype=np.int64) @ click
-    laws = [[_count_law(pulses, column) for column in run.T.tolist()] for run in click]
+    laws: list[list | None] = [None] * len(click)  # a run's laws, built when a trial first draws it
 
     n_runs, n = click.shape[0], spec.pp.N
     observed = observed_detectors(n)  # the contiguous difference ports
@@ -252,19 +248,20 @@ def simulate(spec: TrialSpec) -> TrialReport:
     width, place = len(observed), 1 << np.arange(len(observed))  # bit j: observed detector j
     # step[r][prefix * 2**width + bits]: a trial whose runs 0 .. r - 1 are prefix number
     # `prefix` and whose run r reads `bits` draws run r + 1 as the prefix the entry
-    # numbers, or stops at grade ~entry: 0 correct, 1 incorrect, 2 inconsistent.  A run
-    # not drawn yet reads as zero bits, which the referee reads only if it needs that run.
-    zero, prefixes, step = (0,) * width, [()], []
+    # numbers, or stops at grade ~entry: 0 correct, 1 incorrect, 2 inconsistent.
+    prefixes, step = [()], []
     for r in range(n_runs):
         entries, following = [], []
         for prefix in prefixes:
             for code in range(1 << width):
                 seq = (*prefix, tuple(code >> j & 1 for j in range(width)))
-                decision, used = resolve_schedule(n, seq + (zero,) * (n_runs - r - 1))
-                grade = 2 if decision is None else int(decision.relationship != spec.rel)
-                entries.append(len(following) if used > r + 1 else ~grade)
-                if used > r + 1:
+                decision, _ = resolve_schedule(n, seq)
+                if isinstance(decision, NeedMoreRuns):
+                    entries.append(len(following))
                     following.append(seq)
+                else:
+                    grade = 2 if decision is None else int(decision.relationship != spec.rel)
+                    entries.append(~grade)
         step.append(np.array(entries))
         prefixes = following
     graded = np.zeros(3, dtype=np.int64)
@@ -274,6 +271,8 @@ def simulate(spec: TrialSpec) -> TrialReport:
         rows = np.arange(lo, min(lo + _CHUNK_TRIALS, spec.trials))  # the trials that draw run r
         prefix = np.zeros(len(rows), dtype=np.int64)
         for r in range(n_runs):
+            if laws[r] is None:
+                laws[r] = [_count_law(pulses, column) for column in click[r].T.tolist()]
             counts = _draw_counts(laws, spec.seed, rows, r).astype(np.float64)
             drew[r] += len(rows)
             sums[:, r] += counts.sum(axis=0), (counts * counts).sum(axis=0)

@@ -104,9 +104,10 @@ def test_resolve_waits_for_more_runs():
     step = resolve_f_r(["111", "111"])
     assert isinstance(step, NeedMoreRuns)
     assert step.next_pairing == run_pairing(3)
-    # the schedule walk returns an unfinished prefix undecided, with its length
-    assert resolve_schedule(4, ["111"]) == (None, 1)
-    assert resolve_schedule(4, []) == (None, 0)
+    # the schedule walk asks for the next run after an unfinished prefix, with its length
+    assert resolve_schedule(4, ["111"]) == (NeedMoreRuns(run_pairing(2)), 1)
+    assert resolve_schedule(4, []) == (NeedMoreRuns(run_pairing(1)), 0)
+    assert resolve_schedule(3, []) == (NeedMoreRuns((1, 2, 3, 1)), 0)
 
 
 def test_resolve_all_abcd_signatures():

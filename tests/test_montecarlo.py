@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import qfnet.montecarlo as montecarlo
@@ -36,7 +38,7 @@ from qfnet.montecarlo import (
     _binomial_pmf,
     _count_law,
     _draw_counts,
-    _philox_words,
+    _invert,
     simulate,
     wilson_interval,
 )
@@ -297,9 +299,9 @@ def _schedule_laws(spec):
     return pulses, click, laws
 
 
-def _trial_philox(seed, t):
-    # the key as uint64 words: numpy reads a list with an entry >= 2**63 through float64
-    return np.random.Philox(key=np.array([seed, t + 1], dtype=np.uint64))
+def _trial_block(seed, t, r):
+    # numpy's Philox keyed seed at counter (t, r, 0, 0): its first block encrypts (t + 1, r, 0, 0)
+    return np.random.Philox(key=seed, counter=[t, r, 0, 0])
 
 
 def _every_run(laws, seed, trials):
@@ -308,23 +310,29 @@ def _every_run(laws, seed, trials):
 
 
 @pytest.mark.parametrize("seed", [0, DESK_SEED, 2**64 - 1])
-def test_philox_words_are_numpys_philox(seed):
-    for t in (0, 1023, 1024, 2**32):
-        want = _trial_philox(seed, t).random_raw(12)
-        # two words of block 1; blocks 1-3, one run of four words each; and runs
-        # of three words, which straddle blocks
-        np.testing.assert_array_equal(_philox_words(seed, np.array([t]), 0, 2)[0], want[:2])
-        for width in (4, 3):
-            for r in range(12 // width):
-                got = _philox_words(seed, np.array([t]), r, width)[0]
-                np.testing.assert_array_equal(got, want[r * width : (r + 1) * width])
-    # one pass over any trials, a range or a scattered subset, is each trial's own stream
-    for trials in (np.arange(1020, 1030), np.array([2**32, 7, 1029, 7, 1020])):
+def test_philox_words_are_numpys_philox(seed, monkeypatch):
+    # with the inversion made the identity, _draw_counts returns the words it inverts
+    monkeypatch.setattr(montecarlo, "_invert", lambda law, words: words)
+
+    def words(trials, run, width):
+        return _draw_counts([[None] * width] * 3, seed, np.array(trials, dtype=np.int64), run)
+
+    for t in (0, 4095, 4096, 2**32):
         for r in range(3):
-            block = _philox_words(seed, trials, r, 4)
-            for i, t in enumerate(trials.tolist()):
-                want = _trial_philox(seed, t).random_raw(12)[4 * r : 4 * r + 4]
-                np.testing.assert_array_equal(block[i], want)
+            block = _trial_block(seed, t, r).random_raw(4)
+            # the next trial's block is the one after it in the same stream
+            assert _trial_block(seed, t, r).random_raw(8)[4:].tolist() == (
+                _trial_block(seed, t + 1, r).random_raw(4).tolist()
+            )
+            for width in (2, 3, 4):
+                np.testing.assert_array_equal(words([t], r, width), block[None, :width])
+    # one draw over a range, or over a scattered subset with repeats, reads each trial's block
+    for trials in (range(4090, 4100), [4096, 7, 4095, 7, 0], [2**32 + 3, 2**32, 2**32 + 3]):
+        for r in range(3):
+            for width in (2, 3, 4):
+                got = words(list(trials), r, width)
+                want = [_trial_block(seed, t, r).random_raw(4)[:width] for t in trials]
+                np.testing.assert_array_equal(got, np.array(want))
 
 
 def test_trial_counts_come_from_the_trial_key(desk_setup):
@@ -337,13 +345,13 @@ def test_trial_counts_come_from_the_trial_key(desk_setup):
     assert counts.shape == (trials, 3, 4) and counts.dtype == np.int64
     # both sides of the chunk boundary, and the last trial of the short chunk
     for t in (0, 1, 7, _CHUNK_TRIALS - 1, _CHUNK_TRIALS, trials - 1):
-        u = np.random.Generator(_trial_philox(spec.seed, t)).random(3 * 4)
-        # run r reads uniforms 4r .. 4r + 3, Philox block r + 1, so drawing it
+        # run r reads the first four doubles of its own block, so drawing it
         # for only some trials moves no other count
         for r in range(3):
+            u = np.random.Generator(_trial_block(spec.seed, t, r)).random(4)
             for d in range(4):
-                offset, cdf = laws[r][d]
-                assert counts[t, r, d] == offset + np.searchsorted(cdf, u[4 * r + d], side="right")
+                offset, cdf, _ = laws[r][d]
+                assert counts[t, r, d] == offset + np.searchsorted(cdf, u[d], side="right")
 
 
 def test_trial_prefix_reproduces(desk_setup):
@@ -490,7 +498,7 @@ def _exact_cdf(pulses, probs):
     ],
 )
 def test_count_law_is_the_exact_sum_of_binomials(pulses, probs):
-    offset, cdf = _count_law(pulses, probs)
+    offset, cdf, _ = _count_law(pulses, probs)
     assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
     exact = _exact_cdf(pulses, probs)
     law = np.concatenate((np.zeros(offset), cdf, np.ones(len(exact) - offset - len(cdf))))
@@ -524,6 +532,47 @@ def test_count_law_omits_under_2_pow_minus_60_per_side(desk_setup):
             # the exact binomial, also past the tails' switch to Poisson
             assert sps.binom.cdf(lo - 1, n, p) <= 2.0**-60, (n, p, lo)
             assert sps.binom.sf(hi, n, p) <= 2.0**-60, (n, p, hi)
+
+
+def _check_guided_inversion(law, keys):
+    # keys k are 53-bit integers, u = k * 2**-53, carried in the top bits of the words
+    offset, cdf, _ = law
+    keys = np.clip(np.asarray(keys, dtype=np.int64), 0, 2**53 - 1).astype(np.uint64)
+    dropped = np.arange(len(keys), dtype=np.uint64) % np.uint64(2**11)  # bits u does not read
+    words = (keys << np.uint64(11)) | dropped
+    want = offset + np.searchsorted(cdf, keys * 2.0**-53, side="right")
+    np.testing.assert_array_equal(_invert(law, words), want)
+
+
+def _edge_keys(cdf):
+    # u at each CDF value (equal to it when it lies on the 2**-53 grid), one step
+    # either side, each bucket edge j / 2**12 and one step below it, 0 and 1 - 2**-53
+    at = np.floor(cdf * 2.0**53).astype(np.int64)
+    edges = np.arange(2**12, dtype=np.int64) << 41
+    return np.concatenate((at, at - 1, at + 1, edges, edges - 1, [0, 2**53 - 1]))
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 400), st.floats(0.0, 1.0)), min_size=1, max_size=4).filter(
+        lambda parts: any(n for n, _ in parts)
+    ),
+    st.lists(st.integers(0, 2**53 - 1), max_size=64),
+)
+def test_guided_inversion_is_the_search(parts, keys):
+    law = _count_law(*zip(*parts))
+    _check_guided_inversion(law, [*keys, *_edge_keys(law[1])])
+
+
+@pytest.mark.parametrize("pulses, probs", [((200,), (0.0,)), ((200,), (1.0,)), ((500,), (0.5,))])
+def test_guided_inversion_edges(pulses, probs):
+    law = _count_law(pulses, probs)
+    offset, cdf, guide = law
+    assert len(guide) == 2**12 + 1 and guide[-1] == len(cdf)
+    if len(cdf) == 1:  # a one-point law: every uniform reads its one count
+        assert (offset, guide[-2]) == (200 * probs[0], 0)
+    else:  # its tails put many CDF values in the end buckets, past one step from the guide
+        assert guide[1] - guide[0] > 2 and guide[-1] - guide[-2] > 2
+    _check_guided_inversion(law, _edge_keys(cdf))
 
 
 @pytest.mark.parametrize("label, channel", [("AABC", "desk"), ("ABBA", "lossy")])
@@ -625,13 +674,13 @@ def test_simulate_draws_only_the_runs_the_referee_reads(desk_setup, label, chann
         rel=Relationship.from_label(label), pp=pp, ch=ch, runs=runs, trials=trials, seed=DESK_SEED
     )
     rows = [0] * len(runs)
-    draw = montecarlo._philox_words
+    draw = montecarlo._draw_counts
 
-    def counted(seed, trials, run, width):
+    def counted(laws, seed, trials, run):
         rows[run] += len(trials)
-        return draw(seed, trials, run, width)
+        return draw(laws, seed, trials, run)
 
-    monkeypatch.setattr(montecarlo, "_philox_words", counted)
+    monkeypatch.setattr(montecarlo, "_draw_counts", counted)
     report = simulate(spec)
     assert rows == [entry["executions"] for entry in report.per_detector_count_stats]
     assert rows[0] == trials
@@ -664,6 +713,25 @@ def test_simulate_resolves_each_reachable_prefix_once(
     assert made[0] == calls
 
 
+@pytest.mark.parametrize("label, built", [("AAAA", 4), ("ABCD", 12)])
+def test_simulate_builds_a_runs_laws_when_a_trial_first_draws_it(
+    desk_setup, label, built, monkeypatch
+):
+    # every desk AAAA trial stops after run 1, so only its N laws are built; ABCD
+    # draws all three runs, each run's laws once across chunks
+    made = [0]
+    count_law = montecarlo._count_law
+
+    def counted(pulses, probs):
+        made[0] += 1
+        return count_law(pulses, probs)
+
+    monkeypatch.setattr(montecarlo, "_count_law", counted)
+    report = simulate(desk_spec(label, desk_setup, trials=_CHUNK_TRIALS + 300))
+    assert made[0] == built
+    assert (report.per_detector_count_stats[2]["executions"] > 0) == (label == "ABCD")
+
+
 def test_simulate_memory_does_not_grow_with_trials(desk_setup):
     spec = desk_spec("ABCD", desk_setup)
     # one campaign first, so that what a process allocates once stays out of both peaks
@@ -685,34 +753,34 @@ def test_simulate_memory_does_not_grow_with_trials(desk_setup):
 # sha256 of TrialReport.to_json() for small campaigns.  A change to
 # simulate's click model, pulse budget, count laws, draw or referee changes a
 # digest, so a refactor of any of them must leave these alone.  The draw
-# uses no numpy sampler; numpy.fft rounds a law's CDF in its last bits, which
-# moves a count only for a uniform that close to a CDF value.
+# reads numpy's Philox bit generator but none of its samplers; numpy.fft
+# rounds a law's CDF in its last bits, which moves a count only for a
+# uniform that close to a CDF value.
 _LOSSY_CHANNEL = ChannelModel(eta=(1.0, 0.81, 0.64, 0.9), dark_count=5e-5, visibility=0.97)
 _PINNED_FOUR_PARTY = {
-    ("AABC", "desk"): "80bb058c53da7967318e7ff40d8c6947f81bdba5127078ebf63a5e38a7330bb5",
-    ("ABCD", "desk"): "4231d7a82f0db8462937aaa358debe42832207fad9737504781a777b01193b99",
-    ("AABC", "lossy"): "08c6720516a95398c2e7f392af8a951424ee3f334fc42d29e8f3c10a384681d0",
-    ("ABCD", "lossy"): "989802c9e970c1095e1c0ac6b16f92278e654f5afca3366edb746ec8fc2e4166",
-    # inconsistent and incorrect trials: AAAA has one inconsistent trial that
-    # took a second run, ABAB is 65% inconsistent, ABBA mixes 2 and 3 runs
-    ("AAAA", "lossy"): "7a7fa8511eecd6c2c353acdbcd2264785b186d0046cad46c5a2350e85bec6a17",
-    ("ABAB", "lossy"): "2145e0b5d58ee56fb89153aaffee0131ae18092a1f735bf6ea0c5939a52f54d8",
-    ("ABBA", "lossy"): "58eb75f319c4a426ec39f55c7bb652cc9ca60ecc9e9441aaa314f2f3f69648e5",
+    ("AABC", "desk"): "d7ce1d7aa2207a88622dd84f4908ada9cb85a618cab41078e12527e9b38b83a9",
+    ("ABCD", "desk"): "289adb4402bdb68165e57048ed0699f6bcb8c0674dbd7537a42f4036e941a5e4",
+    ("AABC", "lossy"): "c3712d82c75179d220f6c45357935239137db734d2b2e930115b1f80431aebdf",
+    ("ABCD", "lossy"): "4312edbe7b6eec2432aff3cfc82378c2e13467e3d1bf12fdba72de542c02250f",
+    # inconsistent and incorrect trials: AAAA has three inconsistent trials,
+    # each after a second run, ABAB is 63% inconsistent, ABBA mixes 2 and 3 runs
+    ("AAAA", "lossy"): "6160c4f699823146d06f8dd2e536644e3a7761f36ade7d15e12b0cc43d74953c",
+    ("ABAB", "lossy"): "0c0d67f73251f14d089ffc232d6f8f69f2152a8e9781751b6451657f5a2e70d5",
+    ("ABBA", "lossy"): "d745dc9704a943d772be9e6ab608b561c2fb067411f8595df4f8d706ef64b161",
 }
-# Campaigns of 2 500 trials, pinned when a draw chunk held 1 024 trials.
-# test_report_does_not_depend_on_the_chunk_size draws them at several chunk
-# sizes: trials on both sides of every chunk boundary feed the same
-# statistics.  AABC has 11 three-run and 11 incorrect trials; ABBA mixes 2
-# and 3 runs and is 37% inconsistent, 49% incorrect.
+# Campaigns of 2 500 trials.  test_report_does_not_depend_on_the_chunk_size
+# draws them at several chunk sizes: trials on both sides of every chunk
+# boundary feed the same statistics.  AABC has 11 three-run and 11 incorrect
+# trials; ABBA mixes 2 and 3 runs and is 36% inconsistent, 48% incorrect.
 _PINNED_MULTI_BLOCK = {
-    "AABC": "5e2e4e8b31c7665233ee2619b36db4dd0ef8f7d3d8dcff13d5bf8d06a8aa3554",
-    "ABBA": "dbc01acda373faf96d51a47341daa61ccc175c96a3400216dc5ce8854b59e64b",
+    "AABC": "dae1868255742b132e70a8e2bb3b1229563a045d732ad5e17854337a32c5fb8e",
+    "ABBA": "1d20b744dedae8207334eb6dd70d8fb62c63815c6806b2c19962d628acfea335",
 }
 _PINNED_TWO_PARTY = {
-    ("AA", Encoding.SINGLE_BIT): "54ec801465c1f937b53924b6da45e83a01ca8dc638551614f065260013cc32be",
-    ("AA", Encoding.TWO_BIT): "744a6e6344846cd13eff5705f19aecb96dbafd1daaa3f037999f6eeb9852e3b2",
-    ("AB", Encoding.SINGLE_BIT): "b9e6f9f222dc3d6f8b8d34015490fc1d8dc28b58524cba54eefd2d322cc64538",
-    ("AB", Encoding.TWO_BIT): "500d6fefc50142d39c08454322c7e771405975f613326189d3cc0d8a45d0d4c3",
+    ("AA", Encoding.SINGLE_BIT): "627ad91576a03a1f37fec52679d183ce7ef8765f9d00d049606cd95fd195e07b",
+    ("AA", Encoding.TWO_BIT): "1337e340030dd058face62db10245495a99906a1ab7973b97b90e8812c6ce6e9",
+    ("AB", Encoding.SINGLE_BIT): "e1b201495d58c66c0d29fd4a64a9b05de580d9cdd0104e8fdc2a3342867d70dc",
+    ("AB", Encoding.TWO_BIT): "7fed65f5dfe077ebf5ce7ccebe9cac58cce41ab3ec2e1b997cd2a7f3f49eaa60",
 }
 
 
