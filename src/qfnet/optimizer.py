@@ -1,12 +1,14 @@
 """Amplitude/threshold search minimizing qubit cost under an error budget.
 
 Per run the search minimizes sum_k alpha_k**2 * log2(n) subject to the
-worst-case decision error over the observed detectors staying below epsilon,
-with thresholds re-selected by stats.best_threshold at every candidate point.
-That search starts at the count where the two count laws give equal
-probability, within a count or two of the crossing it looks for, so a
-detector costs about 4 tail evaluations where one over the whole count range
-takes 40-94.  A geometric ladder finds the first feasible scale along the ray
+worst-case decision error over the observed detectors, at per-detector best
+thresholds, staying below epsilon.  A candidate point only needs a yes or
+no, which each detector's two errors at the count where its laws give equal
+probability, or one count from it, settle (stats._meets).  Thresholds are
+chosen (stats.best_threshold) at each run's returned point, for a verdict
+those reads leave unsettled, and to rescore the ladder when no rung meets
+epsilon: once per detector law within one optimize() call.
+A geometric ladder finds the first feasible scale along the ray
 that equalizes the attenuated amplitudes sqrt(eta_k)*alpha_k and a
 log-bisection narrows the bracket below it: that is a four-party run's point.
 The ray's largest coordinate equals the scale, and bounds clamp each
@@ -18,9 +20,7 @@ A two-party run over unequal transmissions then gets an angle search: the
 point s*(cos t, sin t) moves to t +- step where a smaller s meets epsilon,
 and the step halves from 4 degrees until it falls below 0.5.  When run 1's
 attenuated amplitudes are level, every later run sees its fields and takes
-its point.  One optimize() call chooses a threshold once per distinct
-(Equal, Different) pulses and probabilities of a detector: on the ray
-detectors 2 and 4 often share them (T_asym4: 84 lookups, 60 choices).
+its point.
 
 The error trends down along a ray (more photons separate the hypotheses
 better) but is not monotone: the integer threshold lattice makes it step up
@@ -53,8 +53,9 @@ from .core import (
     integers,
     run_pairing,
 )
+from .probmodel import _four_party_terms, _mix, _two_party_terms
 from .probmodel import four_party_asymmetric, two_party_asymmetric
-from .stats import ThresholdChoice, best_threshold, error_probability
+from .stats import ThresholdChoice, _meets, best_threshold, error_probability
 
 __all__ = ["OptimizationProblem", "OptimizationResult", "optimize", "evaluate_fixed"]
 
@@ -136,28 +137,56 @@ def _run_profiles(
 _Chosen = dict[tuple[int, float, float], ThresholdChoice]
 
 
+def _run_probabilities(
+    problem: OptimizationProblem, run_index: int, alphas: Sequence[float]
+) -> tuple[int, list[tuple[float, float]]]:
+    # Each observed detector's (Equal, Different) click probabilities, unchecked:
+    # at() clamps alphas into the bounds, OptimizationProblem checked the network.
+    pp, ch = problem.pp, problem.ch
+    fields = [ch.sqrt_eta[s - 1] * alphas[s - 1] for s in run_pairing(run_index, pp.N)]
+    if pp.N == 2:
+        equal, diff = _two_party_terms(*fields, pp.delta, pp.m, problem.encoding)
+    else:
+        equal, diff = _four_party_terms(*fields, pp.delta, pp.m)
+    return problem.encoding.pulses(pp.m), list(zip(_mix(equal, ch), _mix(diff, ch)))
+
+
+def _choice(chosen: _Chosen, pulses: int, p_eq: float, p_df: float) -> ThresholdChoice:
+    key = (pulses, p_eq, p_df)
+    if key not in chosen:
+        chosen[key] = best_threshold(CountModel(pulses, p_eq), CountModel(pulses, p_df))
+    return chosen[key]
+
+
 def _pe_thresholds(
     problem: OptimizationProblem, run_index: int, alphas: Sequence[float], chosen: _Chosen
 ) -> tuple[float, tuple[int, ...]]:
     # Worst detector error with per-detector optimal thresholds.
-    equal, diff = _run_profiles(problem, run_index, alphas)
-    worst = 0.0
-    ths = []
-    for eq, df in zip(equal, diff):
-        key = (eq.pulses, eq.p, df.p)
-        choice = chosen.get(key)
-        if choice is None:
-            choice = chosen[key] = best_threshold(eq, df)
-        ths.append(choice.threshold)
-        worst = max(worst, choice.p_e)
-    return worst, tuple(ths)
+    pulses, probs = _run_probabilities(problem, run_index, alphas)
+    choices = [_choice(chosen, pulses, p_eq, p_df) for p_eq, p_df in probs]
+    return max(c.p_e for c in choices), tuple(c.threshold for c in choices)
+
+
+def _feasible(
+    problem: OptimizationProblem, run_index: int, alphas: Sequence[float], chosen: _Chosen
+) -> bool:
+    # Whether _pe_thresholds' error meets epsilon, choosing a detector's
+    # threshold only where stats._meets leaves it unsettled.
+    pulses, probs = _run_probabilities(problem, run_index, alphas)
+    eps = problem.pp.epsilon
+    for p_eq, p_df in probs:
+        meets = _meets(pulses, p_eq, p_df, eps)
+        if meets is None:
+            meets = _choice(chosen, pulses, p_eq, p_df).p_e <= eps
+        if not meets:
+            return False
+    return True
 
 
 def _optimize_run(
     problem: OptimizationProblem, run_index: int, counter: list[int], chosen: _Chosen
 ) -> tuple[tuple[float, ...], tuple[int, ...], float]:
     lo, hi = problem.bounds
-    eps = problem.pp.epsilon
     n_var = problem.pp.N
     # Search ray: equal attenuated amplitudes sqrt(eta_k)*alpha_k, normalized
     # so the largest coordinate equals the scale.
@@ -168,16 +197,16 @@ def _optimize_run(
     def at(scale: float, direction: Sequence[float] = ray) -> tuple[float, ...]:
         return tuple([min(hi, max(lo, scale * r)) for r in direction])
 
-    def evaluate(alphas: Sequence[float]) -> tuple[float, tuple[int, ...]]:
+    def feasible(alphas: Sequence[float]) -> bool:
         counter[0] += 1
-        return _pe_thresholds(problem, run_index, alphas, chosen)
+        return _feasible(problem, run_index, alphas, chosen)
 
     def narrow(x_lo: float, x_hi: float, point: Callable[[float], Sequence[float]]) -> float:
         # Log-bisect an infeasible x_lo and a feasible x_hi down to the grid;
         # returns the feasible end.
         while x_hi / x_lo > 1.0 + problem.grid:
             mid = math.sqrt(x_lo * x_hi)
-            if evaluate(point(mid))[0] <= eps:
+            if feasible(point(mid)):
                 x_hi = mid
             else:
                 x_lo = mid
@@ -188,18 +217,16 @@ def _optimize_run(
     # others still grow.  Its first rung is lo (lo * min(ray) < hi) and its
     # last the cap, where every amplitude sits at hi, so no rung steps over it.
     cap = hi / min(ray)
-    tried = []
+    rungs = []
     scale, prev = lo, None
-    while True:
-        alphas = at(scale)
-        pe, ths = evaluate(alphas)
-        tried.append((pe, alphas, ths))
-        if pe <= eps or scale >= cap:
-            break
+    while not feasible(alphas := at(scale)):
+        rungs.append(alphas)
+        if scale >= cap:
+            # No rung meets epsilon: rescore them all for the first least error.
+            scored = [(*_pe_thresholds(problem, run_index, a, chosen), a) for a in rungs]
+            pe, ths, alphas = min(scored, key=lambda t: t[0])
+            return alphas, ths, pe
         prev, scale = scale, min(scale * 1.3, cap)
-    if pe > eps:
-        pe, alphas, ths = min(tried, key=lambda t: t[0])  # the first least error
-        return alphas, ths, pe
     if prev is not None:
         alphas = at(narrow(prev, scale, at))
 
@@ -218,10 +245,10 @@ def _optimize_run(
             for angle in (t + step, t - step):
                 point = functools.partial(at, direction=(math.cos(angle), math.sin(angle)))
                 x = s / (1.0 + problem.grid)
-                if math.hypot(*point(x)) >= math.hypot(*alphas) or evaluate(point(x))[0] > eps:
+                if math.hypot(*point(x)) >= math.hypot(*alphas) or not feasible(point(x)):
                     continue
                 while math.hypot(*point(x * 0.995)) < math.hypot(*point(x)):
-                    if evaluate(point(x * 0.995))[0] > eps:
+                    if not feasible(point(x * 0.995)):
                         x = narrow(x * 0.995, x, point)
                         break
                     x *= 0.995
@@ -229,9 +256,10 @@ def _optimize_run(
                 break
             else:
                 step /= 2
-    # alphas is the last point evaluated feasible: this re-evaluation only
-    # recovers its thresholds and error.
-    pe, ths = evaluate(alphas)
+    # alphas is the last point found feasible: the closing evaluation
+    # chooses its thresholds.
+    counter[0] += 1
+    pe, ths = _pe_thresholds(problem, run_index, alphas, chosen)
     return alphas, ths, pe
 
 

@@ -9,10 +9,12 @@ patterns, I_i is the mean photon number the pattern sends to the detector,
 and Ic_i is what the pattern sends to the detector's complement port (the
 other output of its final splitter) — which is where a fraction (1 - nu) of
 the light effectively goes when the interference visibility nu is below one.
-Each model lists its detectors' (w_i, I_i, Ic_i) terms and one helper sums
-them with the channel's visibility and dark count into each detector's
-count law, a core.CountModel(pulses, P): the models return one per
-detector, and stats reads them as they are.
+Each model lists its detectors' (w_i, I_i, Ic_i) terms (_two_party_terms and
+_four_party_terms, from attenuated amplitudes), _mix sums them with the
+channel's visibility and dark count into click probabilities, and _profile
+wraps those in count laws, core.CountModel(pulses, P): the models return
+one per detector, and stats reads them as they are.  The optimizer's search
+reads the terms and _mix directly.
 
 This module never touches the transfer matrix: intensities come from the
 pattern fractions and algebraic port sums, so it forms an independent route
@@ -46,20 +48,26 @@ __all__ = [
 
 # One mixture term of a detector: (weight, direct intensity, complement intensity).
 _Term = tuple[float, float, float]
+_Terms = tuple[list[list[_Term]], list[list[_Term]]]  # each detector's, Equal and Different
+
+
+def _mix(detectors: Sequence[Sequence[_Term]], channel: ChannelModel) -> list[float]:
+    """Each detector's click probability per pulse: its terms plus the dark count."""
+    nu = channel.visibility
+    probs = []
+    for terms in detectors:
+        p = 0.0
+        for w, i, ic in terms:
+            p += w * (nu * -math.expm1(-i) + (1.0 - nu) * -math.expm1(-ic))
+        probs.append(min(1.0, max(0.0, p + channel.dark_count)))
+    return probs
 
 
 def _profile(
     detectors: Sequence[Sequence[_Term]], channel: ChannelModel, pulses: int
 ) -> tuple[CountModel, ...]:
-    """Each detector's count law: its terms plus the dark count, per pulse."""
-    nu = channel.visibility
-    laws = []
-    for terms in detectors:
-        p = 0.0
-        for w, i, ic in terms:
-            p += w * (nu * -math.expm1(-i) + (1.0 - nu) * -math.expm1(-ic))
-        laws.append(CountModel(pulses, min(1.0, max(0.0, p + channel.dark_count))))
-    return tuple(laws)
+    """Each detector's count law."""
+    return tuple([CountModel(pulses, p) for p in _mix(detectors, channel)])
 
 
 def four_party_symmetric(
@@ -154,9 +162,13 @@ def two_party_asymmetric(
     self-complementary cross intensity (b1**2 + b2**2) / m.
     """
     check_network(2, protocol.N, channel.n_senders)
-    delta = protocol.delta
-    m = protocol.m
     b1, b2 = _attenuated(alphas, channel, (1, 2))
+    eq, diff = _two_party_terms(b1, b2, protocol.delta, protocol.m, encoding)
+    pulses = encoding.pulses(protocol.m)
+    return _profile(eq, channel, pulses), _profile(diff, channel, pulses)
+
+
+def _two_party_terms(b1: float, b2: float, delta: float, m: int, encoding: Encoding) -> _Terms:
     if encoding is _SINGLE_BIT:
         eq, diff = _pair_terms(b1, b2, delta, m)
     else:
@@ -169,8 +181,7 @@ def two_party_asymmetric(
             (2.0 * delta * (1.0 - delta), i_cross, i_cross),
             (delta**2, i_sum, i_diff),
         ]
-    pulses = encoding.pulses(m)
-    return _profile([eq], channel, pulses), _profile([diff], channel, pulses)
+    return [eq], [diff]
 
 
 def four_party_asymmetric(
@@ -201,9 +212,12 @@ def four_party_asymmetric(
     detector sees.
     """
     check_network(4, protocol.N, channel.n_senders)
-    delta = protocol.delta
-    m = protocol.m
-    bi, bj, bk, bl = _attenuated(alphas, channel, run_pairing(run_index, 4))
+    fields = _attenuated(alphas, channel, run_pairing(run_index, 4))
+    eq, diff = _four_party_terms(*fields, protocol.delta, protocol.m)
+    return _profile(eq, channel, protocol.m), _profile(diff, channel, protocol.m)
+
+
+def _four_party_terms(bi: float, bj: float, bk: float, bl: float, delta: float, m: int) -> _Terms:
     eq2, df2 = _pair_terms(bi, bj, delta, m)
     eq4, df4 = _pair_terms(bk, bl, delta, m)
 
@@ -220,4 +234,4 @@ def four_party_asymmetric(
     x, xc = min(flips, key=lambda f: abs(f[0]))
     eq3 = [(1.0, i_eq3, i_eq3c)]
     df3 = [(delta, x**2 / (4 * m), xc**2 / (4 * m)), (1.0 - delta, i_eq3, i_eq3c)]
-    return _profile([eq2, eq3, eq4], channel, m), _profile([df2, df3, df4], channel, m)
+    return [eq2, eq3, eq4], [df2, df3, df4]

@@ -58,10 +58,8 @@ def _check_point(model: CountModel, t: int) -> int:
     return t
 
 
-def tail_above(model: CountModel, t: int) -> float:
-    """P(C > t)."""
-    t = _check_point(model, t)
-    pulses, p = model.pulses, model.p
+def _above(pulses: int, p: float, t: int) -> float:
+    # P(C > t) for t in [0, pulses]
     if t >= pulses:
         # betainc(pulses + 1, 0, 1.0) is 1.0, not the empty tail's 0
         return 0.0
@@ -72,12 +70,21 @@ def tail_above(model: CountModel, t: int) -> float:
     return betainc(float(t + 1), float(pulses - t), p)
 
 
-def tail_below(model: CountModel, t: int) -> float:
-    """P(C < t)."""
-    t = _check_point(model, t)
+def _below(pulses: int, p: float, t: int) -> float:
+    # P(C < t) for t in [0, pulses]
     if t == 0:
         return 0.0
-    return betaincc(float(t), float(model.pulses - t + 1), model.p)
+    return betaincc(float(t), float(pulses - t + 1), p)
+
+
+def tail_above(model: CountModel, t: int) -> float:
+    """P(C > t)."""
+    return _above(model.pulses, model.p, _check_point(model, t))
+
+
+def tail_below(model: CountModel, t: int) -> float:
+    """P(C < t)."""
+    return _below(model.pulses, model.p, _check_point(model, t))
 
 
 def _check_pulses(equal: CountModel, different: CountModel) -> None:
@@ -92,6 +99,11 @@ def _decision_errors(equal: CountModel, different: CountModel, t: int) -> tuple[
     # P_different(C < t).  tail_below checks t first.
     e_df = tail_below(different, t)
     return (1.0 if t == 0 else tail_above(equal, t - 1)), e_df
+
+
+def _errors(pulses: int, p_eq: float, p_df: float, t: int) -> tuple[float, float]:
+    # _decision_errors on plain numbers, unchecked: t in [0, pulses]
+    return (1.0 if t == 0 else _above(pulses, p_eq, t - 1)), _below(pulses, p_df, t)
 
 
 def error_probability(
@@ -136,18 +148,48 @@ class ThresholdChoice:
     degenerate: bool = False
 
 
-def _search_start(equal: CountModel, different: CountModel) -> int:
+def _start(pulses: int, p_eq: float, p_df: float) -> int:
     # ceil of the count where the two binomials give equal probability,
     # which lies between the means (as p -> 0 it tends to Poisson's
     # (mu_D - mu_E) / ln(mu_D / mu_E)), or the midpoint of the means when a
     # law is a point mass at an end of its range
-    p_eq, p_df = equal.p, different.p
     if not (0.0 < p_eq < 1.0 and 0.0 < p_df < 1.0):
-        t0 = (equal.mean + different.mean) / 2
+        t0 = (pulses * p_eq + pulses * p_df) / 2
     else:
         log_odds = math.log(p_df) - math.log(p_eq) + math.log1p(-p_eq) - math.log1p(-p_df)
-        t0 = equal.pulses * (math.log1p(-p_eq) - math.log1p(-p_df)) / log_odds
-    return min(max(math.ceil(t0), 0), equal.pulses)
+        t0 = pulses * (math.log1p(-p_eq) - math.log1p(-p_df)) / log_odds
+    return min(max(math.ceil(t0), 0), pulses)
+
+
+def _search_start(equal: CountModel, different: CountModel) -> int:
+    return _start(equal.pulses, equal.p, different.p)
+
+
+def _degenerate(pulses: int, p_eq: float, p_df: float) -> bool:
+    # equal means: no threshold separates the two laws
+    return math.isclose(pulses * p_eq, pulses * p_df, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _meets(pulses: int, p_eq: float, p_df: float, eps: float) -> bool | None:
+    # Whether best_threshold's p_e <= eps, from the errors at the search start
+    # t0 and one count from it, or None.  The Equal error falls and the
+    # Different one rises with t: both within eps at a count settle it true,
+    # and one above eps rules out every count on its side.  At equal means
+    # best_threshold returns the midpoint's error, not the least.
+    if _degenerate(pulses, p_eq, p_df) or (t := _start(pulses, p_eq, p_df)) == 0:
+        return None
+    e_eq, e_df = _errors(pulses, p_eq, p_df, t)
+    if (e_eq <= eps) == (e_df <= eps):
+        return e_eq <= eps
+    # One error rules out t0's side.  At the next count u on the other side,
+    # the error that grows away from t0 rules out the rest, or leaves it open.
+    u = t - 1 if e_eq <= eps else t + 1
+    if u > pulses:
+        return None
+    e_eq, e_df = _errors(pulses, p_eq, p_df, u)
+    if e_eq <= eps and e_df <= eps:
+        return True
+    return False if (e_eq if u < t else e_df) > eps else None
 
 
 def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
@@ -174,7 +216,7 @@ def best_threshold(equal: CountModel, different: CountModel) -> ThresholdChoice:
     ``degenerate=True``.
     """
     _check_pulses(equal, different)
-    if math.isclose(equal.mean, different.mean, rel_tol=1e-12, abs_tol=1e-12):
+    if _degenerate(equal.pulses, equal.p, different.p):
         t = int(round(equal.mean))  # in [0, pulses], as p is in [0, 1]
         e_eq, e_df = _decision_errors(equal, different, t)
         return ThresholdChoice(t, max(e_eq, e_df), degenerate=True)

@@ -243,9 +243,11 @@ _PINNED_OPTIMIZE = {
 
 
 def _pinned_problem(label: str) -> OptimizationProblem:
-    if label == "T_asym4":
-        bench = BENCHMARKS["T_asym4"]
-        return OptimizationProblem(pp=bench.pp, ch=bench.ch, runs=len(bench.runs))
+    if label in BENCHMARKS:
+        bench = BENCHMARKS[label]
+        return OptimizationProblem(
+            pp=bench.pp, ch=bench.ch, encoding=bench.encoding, runs=len(bench.runs)
+        )
     # desk scale: m = 1e5 pulses; the four-party channels are the fixed ones
     # of the benchmark's desk-optimize batch
     sqrt_eta, visibility, encoding = {
@@ -290,6 +292,26 @@ def test_optimize_chooses_each_threshold_once_per_call(monkeypatch, label, evalu
     second = optimize(problem)
     assert len(calls) == len(first_calls)  # nothing carried over between calls
     assert first.trace["evaluations"] == second.trace["evaluations"] == evaluations
+
+
+@pytest.mark.parametrize(
+    "label, choices",
+    [("T_asym4", 3), ("desk4 nu=0.9845", 3), ("desk2 two-bit", 1), ("T4", 1)],
+)
+def test_search_chooses_thresholds_only_where_used(monkeypatch, label, choices):
+    # Every candidate but the returned one only asks whether it meets
+    # epsilon, which the tails next to each detector's search start settle
+    # here; thresholds are chosen at the returned points, one per distinct
+    # detector law.
+    calls = []
+
+    def counting(equal, different):
+        calls.append((equal.pulses, equal.p, different.p))
+        return best_threshold(equal, different)
+
+    monkeypatch.setattr(optimizer, "best_threshold", counting)
+    optimize(_pinned_problem(label))
+    assert len(calls) == choices
 
 
 def _worst_best_error(equal, different):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import betainc as ufunc_betainc
@@ -604,6 +604,86 @@ def test_best_threshold_where_tails_underflow(pulses, p_eq, p_df):
     assert choice.p_e <= want_err
     t = choice.threshold
     assert choice.p_e == max(tail_above(equal, t - 1), tail_below(different, t))
+
+
+# --- the optimizer's feasibility verdict --------------------------------------
+
+
+def assert_verdict_is_best_thresholds(pulses, p_eq, p_df, eps):
+    # stats._meets settles best_threshold's p_e <= eps from tails read next
+    # to the search start, or leaves it (None) to best_threshold
+    meets = stats._meets(pulses, p_eq, p_df, eps)
+    want = best_threshold(CountModel(pulses, p_eq), CountModel(pulses, p_df)).p_e <= eps
+    assert meets in (None, want)
+    return meets
+
+
+@settings(deadline=None, max_examples=300)
+@given(count_model_pairs(), st.data())
+def test_feasibility_verdict_is_best_thresholds(models, data):
+    equal, different = models
+    least = best_threshold(equal, different).p_e
+    # anywhere in (0, 1), or at and one ulp around the least error, where the verdict flips
+    eps = data.draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([least, math.nextafter(least, 0.0), math.nextafter(least, 1.0)]),
+        )
+    )
+    assume(0.0 < eps < 1.0)
+    assert_verdict_is_best_thresholds(equal.pulses, equal.p, different.p, eps)
+
+
+@pytest.mark.parametrize(
+    "pulses, p_eq, p_df, settles",
+    [
+        # binomial laws whose crossing lies within a count of the start:
+        # every budget is settled by the reads next to it
+        (100_000, 4e-4, 9e-4, True),  # a desk-scale detector
+        (10**13, 5e-11, 1.5e-10, True),  # Poisson-like, as in the bundled rows
+        (10, 0.95, 0.999, False),  # the start is pulses
+        # point masses: the midpoint start can lie far from the least error
+        (100, 0.0, 1.0, False),
+        (100, 1.0, 0.0, False),
+        (100, 0.0, 0.3, False),
+        (100, 0.3, 1.0, False),
+        (100, 1.0, 0.3, False),
+    ],
+)
+def test_feasibility_verdict_edges(pulses, p_eq, p_df, settles):
+    t0 = stats._start(pulses, p_eq, p_df)
+    reads = {
+        e
+        for t in (t0 - 1, t0, t0 + 1)
+        if 0 <= t <= pulses
+        for e in stats._errors(pulses, p_eq, p_df, t)
+    }
+    # every error read, exactly and one ulp either side, and a few plain budgets
+    budgets = reads | {math.nextafter(e, 0.0) for e in reads} | {math.nextafter(e, 1.0) for e in reads}
+    budgets = sorted(e for e in budgets | {1e-300, 1e-9, 1e-3, 0.5} if 0.0 < e < 1.0)
+    verdicts = [assert_verdict_is_best_thresholds(pulses, p_eq, p_df, eps) for eps in budgets]
+    if settles:
+        assert None not in verdicts
+        assert True in verdicts and False in verdicts
+    # a budget equal to the larger error at t0 is met there
+    worst = max(stats._errors(pulses, p_eq, p_df, t0))
+    if 0.0 < worst < 1.0:
+        assert stats._meets(pulses, p_eq, p_df, worst) is True
+
+
+def test_feasibility_verdict_leaves_equal_means_and_a_zero_start_to_best_threshold(monkeypatch):
+    # best_threshold returns the midpoint of equal means, not their least error
+    assert stats._meets(1000, 0.2, 0.2, 0.5) is None
+    assert stats._meets(10**13, 1e-10, 1e-10 * (1 + 1e-13), 0.5) is None
+    # past the equal-means check _start never returns 0; force it
+    assert stats._meets(1000, 0.1, 0.3, 1e-3) is not None
+    monkeypatch.setattr(stats, "_start", lambda *args: 0)
+    assert assert_verdict_is_best_thresholds(1000, 0.1, 0.3, 1e-3) is None
+    # at the start pulses, with only the Different error within budget
+    monkeypatch.undo()
+    assert stats._start(10, 0.95, 0.999) == 10
+    assert stats._errors(10, 0.95, 0.999, 10)[1] < 0.05 < stats._errors(10, 0.95, 0.999, 10)[0]
+    assert assert_verdict_is_best_thresholds(10, 0.95, 0.999, 0.05) is None
 
 
 def test_published_thresholds_under_code_rate_convention():
